@@ -41,6 +41,7 @@ from .measures import (
     e_b,
     e_g,
     e_g_dicke,
+    husimi,
     rec_family_state,
     rotate_state,
 )
@@ -63,11 +64,12 @@ from .states import (
     QubitState,
     SymmetricState,
     SymmetryReport,
+    bell_state,
     coherent_state,
     dicke_state,
     embed_full,
     fidelity,
-    husimi,
+    ghz_state,
     is_permutation_symmetric,
     jm_to_nk,
     nk_to_jm,

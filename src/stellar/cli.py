@@ -27,7 +27,8 @@ from .errors import (
     SymmetryViolationError,
 )
 
-_PI_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
+# the coefficient needs a digit once it has a point, so '.pi' is no angle
+_PI_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
 
 def parse_angle(text: str) -> float:
@@ -52,27 +53,6 @@ def parse_angle(text: str) -> float:
         raise DomainError(f"cannot parse angle {text!r}") from None
 
 
-def _ghz(n: int) -> states.SymmetricState:
-    if n < 2:
-        raise DomainError("GHZ needs at least 2 qubits")
-    d = np.zeros(n + 1, dtype=complex)
-    d[0] = d[n] = 1.0
-    return states.SymmetricState(n, d)
-
-
-def _bell(name: str) -> states.SymmetricState:
-    name = name.lower()
-    if name == "psi+":
-        return states.dicke_state(2, 1)
-    if name == "phi+":
-        return states.SymmetricState(2, [1.0, 0.0, 1.0])
-    if name == "phi-":
-        return states.SymmetricState(2, [1.0, 0.0, -1.0])
-    if name == "psi-":
-        raise DomainError("the singlet |psi-> is antisymmetric and has no symmetric representation")
-    raise DomainError(f"unknown Bell state {name!r}; use psi+, phi+ or phi-")
-
-
 _TETRA_THETA = math.acos(1.0 / math.sqrt(3.0))
 
 
@@ -91,11 +71,11 @@ def build_state(spec: str) -> states.SymmetricState:
         if head == "dicke" and len(parts) == 3:
             return states.dicke_state(int(parts[1]), int(parts[2]))
         if head == "ghz" and len(parts) == 2:
-            return _ghz(int(parts[1]))
+            return states.ghz_state(int(parts[1]))
         if head == "w" and len(parts) == 2:
             return states.dicke_state(int(parts[1]), 1)
         if head == "bell" and len(parts) == 2:
-            return _bell(parts[1])
+            return states.bell_state(parts[1])
         if head == "tetra" and len(parts) == 1:
             return measures.rec_family_state(_TETRA_THETA, math.pi / 2.0)
         if head == "rec4" and len(parts) == 3:
@@ -118,22 +98,17 @@ def build_state(spec: str) -> states.SymmetricState:
     raise DomainError(f"unrecognized state spec {spec!r}")
 
 
+_NAMED_STATE_FLAGS = ("dicke", "ghz", "w", "bell", "tetra", "rec4", "coherent")
+
+
 def _state_from_args(args) -> states.SymmetricState:
-    if getattr(args, "dicke", None) is not None:
-        return states.dicke_state(args.dicke[0], args.dicke[1])
-    if getattr(args, "ghz", None) is not None:
-        return _ghz(args.ghz)
-    if getattr(args, "w", None) is not None:
-        return states.dicke_state(args.w, 1)
-    if getattr(args, "bell", None) is not None:
-        return _bell(args.bell)
-    if getattr(args, "tetra", False):
-        return build_state("tetra")
-    if getattr(args, "rec4", None) is not None:
-        return measures.rec_family_state(parse_angle(args.rec4[0]), parse_angle(args.rec4[1]))
-    if getattr(args, "coherent", None) is not None:
-        n, th, ph = args.coherent
-        return states.coherent_state(int(n), states.QubitState(parse_angle(th), parse_angle(ph)))
+    """The first named-state flag given, else --state, as a build_state spec."""
+    for flag in _NAMED_STATE_FLAGS:
+        value = getattr(args, flag, None)
+        if value is None or value is False:  # flag not given
+            continue
+        parts = value if isinstance(value, list) else [] if value is True else [value]
+        return build_state(":".join([flag, *map(str, parts)]))
     if getattr(args, "state", None):
         return build_state(args.state)
     raise DomainError("no input state given; pass --state or a named-state flag")
@@ -154,6 +129,16 @@ def _add_state_flags(parser: argparse.ArgumentParser):
     )
 
 
+def _add_husimi_grid(parser: argparse.ArgumentParser):
+    parser.add_argument(
+        "--husimi-grid",
+        type=_parse_grid,
+        default=(64, 128),
+        metavar="RxC",
+        help="coarse sphere grid for the Husimi maximizer (default 64x128)",
+    )
+
+
 def _add_out(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="write the result here instead of stdout")
 
@@ -166,12 +151,13 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)x(\d+)", text.strip())
-    if not m:
+def _parse_grid(text: str, line: bool = False) -> tuple[int, int]:
+    """'RxC' with both sizes at least 2; a line family reads only R and also takes a bare 'N'."""
+    m = re.fullmatch(r"(\d+)(?:x(\d+))?", text.strip())
+    if not m or (m.group(2) is None and not line):
         raise DomainError(f"grid must look like '64x128', got {text!r}")
-    g = (int(m.group(1)), int(m.group(2)))
-    if g[0] < 2 or g[1] < 2:
+    g = (int(m.group(1)), int(m.group(2) or 0))
+    if not line and min(g) < 2:
         raise DomainError("grid sizes must be at least 2")
     return g
 
@@ -246,13 +232,13 @@ def _sweep_rows(args):
             for ph in np.linspace(0.0, math.pi, cols):
                 yield th, ph, measures.rec_family_state(th, ph)
     elif args.family == "twoqubit":
-        count = int(args.grid.split("x")[0])
+        count, _ = _parse_grid(args.grid, line=True)
         for th in np.linspace(0.0, math.pi, count):
             yield th, None, states.symmetrize(
                 [states.QubitState(0.0, 0.0), states.QubitState(th, 0.0)]
             )
     elif args.family == "threequbit":
-        count = int(args.grid.split("x")[0])
+        count, _ = _parse_grid(args.grid, line=True)
         for th in np.linspace(0.0, math.pi, count):
             yield th, None, states.symmetrize(
                 [
@@ -376,13 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.add_argument("--eb", action="store_true", help="report the barycentric measure (default when --eg absent)")
     p.add_argument("--eg", action="store_true", help="report the geometric measure")
-    p.add_argument(
-        "--husimi-grid",
-        type=_parse_grid,
-        default=(64, 128),
-        metavar="RxC",
-        help="coarse sphere grid for the Husimi maximizer (default 64x128)",
-    )
+    _add_husimi_grid(p)
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format (default text)")
     p.set_defaults(func=_cmd_measure)
 
@@ -397,13 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="qubit count for --family dicke")
     p.add_argument("--eb", action="store_true", help="accepted for symmetry; E_B is always computed")
     p.add_argument("--eg", action="store_true", help="also compute the geometric measure per point")
-    p.add_argument(
-        "--husimi-grid",
-        type=_parse_grid,
-        default=(64, 128),
-        metavar="RxC",
-        help="coarse sphere grid for the Husimi maximizer (default 64x128)",
-    )
+    _add_husimi_grid(p)
     _add_out(p)
     p.set_defaults(func=_cmd_sweep)
 

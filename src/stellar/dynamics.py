@@ -11,7 +11,6 @@ wherever a star would jump too far.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,15 +20,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NumericError, SymmetryViolationError
 from .hamiltonians import HermitianOperator
-from .measures import barycenter
-from .stars import Constellation, Star, state_to_stars
-from .states import (
-    SymmetricState,
-    _format_float,
-    _sqrt_binom,
-    _transposition_index_maps,
-    _weight_index_sets,
-)
+from .stars import state_to_stars
+from .states import SymmetricState, _dicke_isometry, _format_float, _transposition_index_maps
 
 __all__ = [
     "TransitionBasis",
@@ -123,10 +115,10 @@ def _as_matrix(h: HermitianOperator | np.ndarray) -> tuple[np.ndarray, int]:
     if isinstance(h, HermitianOperator):
         return np.asarray(h.matrix), h.n
     m = np.asarray(h, dtype=np.complex128)
-    n = int(round(math.log2(m.shape[0])))
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or 2**n != m.shape[0]:
+    dim = m.shape[0] if m.ndim == 2 else 0
+    if m.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise DomainError(f"matrix shape {m.shape} is not 2^n x 2^n")
-    return m, n
+    return m, dim.bit_length() - 1
 
 
 def build_transition(n: int) -> TransitionBasis:
@@ -134,15 +126,11 @@ def build_transition(n: int) -> TransitionBasis:
     n = int(n)
     if not 1 <= n <= 14:
         raise DomainError(f"transition basis supports 1..14 qubits, got {n}")
-    dim = 2**n
-    t = np.zeros((dim, dim), dtype=np.complex128)
-    sectors = _weight_index_sets(n)
-    sq = _sqrt_binom(n)
-    col = 0
-    for k, idx in enumerate(sectors):
-        t[idx, col] = 1.0 / sq[k]
-        col += 1
-    for idx in sectors:
+    iso = _dicke_isometry(n)
+    t = np.zeros((2**n, 2**n), dtype=np.complex128)
+    t[:, : n + 1] = iso
+    col = n + 1
+    for idx in (np.flatnonzero(c) for c in iso.T):
         for m in range(1, len(idx)):
             t[idx[:m], col] = 1.0
             t[idx[m], col] = -float(m)
@@ -153,6 +141,8 @@ def build_transition(n: int) -> TransitionBasis:
 
 def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
     """exp(-i * beta * H) through the Hermitian eigendecomposition."""
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     m, _ = _as_matrix(h)
     deficit = float(np.abs(m - m.conj().T).max())
     if deficit > 1e-12:
@@ -176,10 +166,9 @@ def reduce_unitary(
     Raises SymmetryViolationError with the measured off-block norm when the
     leakage between the symmetric subspace and its complement exceeds tol.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    n = int(round(math.log2(u.shape[0])))
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or 2**n != u.shape[0]:
-        raise DomainError(f"unitary shape {u.shape} is not 2^n x 2^n")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    u, n = _as_matrix(u)
     t = basis.matrix if basis is not None else build_transition(n).matrix
     up = t.conj().T @ u @ t
     s = n + 1
@@ -203,23 +192,12 @@ def reduce_unitary(
 def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     """Assign new stars to previous identities, minimizing total geodesic cost.
 
-    Exhaustive for up to 6 stars, Hungarian above; returns the reordered
-    star array and the largest single move.
+    Hungarian assignment; returns the reordered star array and the largest
+    single move.
     """
-    n = prev.shape[0]
-    dots = np.clip(prev @ new.T, -1.0, 1.0)
-    cost = np.arccos(dots)
-    if n <= 6:
-        best_perm, best_cost = None, math.inf
-        for perm in itertools.permutations(range(n)):
-            c = sum(cost[i, perm[i]] for i in range(n))
-            if c < best_cost - 1e-15:
-                best_cost, best_perm = c, perm
-        order = np.array(best_perm)
-    else:
-        _, order = linear_sum_assignment(cost)
-    order = np.asarray(order)
-    return new[order], float(cost[np.arange(n), order].max())
+    cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
+    rows, order = linear_sum_assignment(cost)
+    return new[order], float(cost[rows, order].max())
 
 
 def evolve(
@@ -238,6 +216,8 @@ def evolve(
     ``max_depth`` times, after which the step is kept and flagged as a
     discontinuity.
     """
+    if not (math.isfinite(max_step) and max_step > 0.0):
+        raise DomainError(f"max_step must be finite and positive, got {max_step}")
     m, n = _as_matrix(h)
     if n != psi0.n:
         raise DomainError(f"Hamiltonian acts on {n} qubits, state has {psi0.n}")
@@ -255,13 +235,8 @@ def evolve(
         raise DomainError("beta grid must be strictly monotone")
 
     # project H onto the Dicke block and diagonalize once
-    dim = 2**n
-    sectors = _weight_index_sets(n)
-    sq = _sqrt_binom(n)
-    s = np.zeros((dim, n + 1), dtype=np.complex128)
-    for k, idx in enumerate(sectors):
-        s[idx, k] = 1.0 / sq[k]
-    h_block = s.conj().T @ m @ s
+    s = _dicke_isometry(n)
+    h_block = s.T @ m @ s
     lam, q = np.linalg.eigh(h_block)
     coeff0 = q.conj().T @ psi0.d
 
@@ -314,6 +289,10 @@ def velocity_profile(
     inside those windows the finite difference is not a trustworthy
     derivative (star collisions and pole passages).
     """
+    if not (math.isfinite(divergence_threshold) and divergence_threshold >= 0.0):
+        raise DomainError(
+            f"divergence_threshold must be finite and non-negative, got {divergence_threshold}"
+        )
     if traj.betas.size < 3:
         raise DomainError("velocity needs at least 3 grid points")
     thetas = traj.thetas

@@ -15,10 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import ConvergenceError, DomainError
-from .stars import Constellation, Star, state_to_stars, stars_to_state
+from .stars import Constellation, Star, state_to_stars
 from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "e_g_dicke",
     "rec_family_state",
     "rotate_state",
+    "husimi",
     "husimi_batch",
     "husimi_gradient",
 ]
@@ -176,6 +176,12 @@ def _husimi_eval(gbar: np.ndarray, n: int, theta, phi, order: int):
     return q, grad, (htt, htp, hpp)
 
 
+def husimi(state: SymmetricState, point: QubitState) -> float:
+    """Squared overlap with the coherent state at ``point``; lies in [0, 1]."""
+    q, _, _ = _husimi_eval(_husimi_weights(state), state.n, point.theta, point.phi, 0)
+    return float(min(q[0], 1.0))
+
+
 def husimi_batch(state: SymmetricState, theta, phi) -> np.ndarray:
     """Husimi values at arrays of sphere points."""
     gbar = _husimi_weights(state)
@@ -267,18 +273,6 @@ def _ascend(gbar, n, theta, phi, max_iter, gtol):
     return th, ph, q, converged
 
 
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta, phi = -theta, phi + math.pi
-    if theta > math.pi:
-        theta, phi = 2.0 * math.pi - theta, phi + math.pi
-    phi = phi % (2.0 * math.pi)
-    if theta == 0.0 or theta == math.pi:
-        phi = 0.0
-    return theta, phi
-
-
 def e_g(
     state: SymmetricState,
     grid: tuple[int, int] = (64, 128),
@@ -338,20 +332,19 @@ def e_g(
     th, ph, q, ok = _ascend(gbar, n, th0, ph0, max_iter, gtol)
 
     best = float(q.max())
-    candidates = [
-        (_canonical_angles(th[i], ph[i]), float(q[i]), bool(ok[i]))
-        for i in range(len(starts))
-        if q[i] >= best - 1e-11
-    ]
-    candidates.sort(key=lambda c: c[0])
-    (w_theta, w_phi), _, _ = candidates[0]
+    # QubitState canonicalizes the chart, so the witness is the first
+    # near-best point in (theta, phi) order
+    candidates = sorted(
+        ((QubitState(th[i], ph[i]), bool(ok[i])) for i in range(len(starts)) if q[i] >= best - 1e-11),
+        key=lambda c: (c[0].theta, c[0].phi),
+    )
     overlap_val = min(max(best, 1e-300), 1.0)
     result = GeometricResult(
         value=-math.log2(overlap_val) + 0.0,  # +0.0 folds -0.0 into 0.0
-        witness=QubitState(w_theta, w_phi),
+        witness=candidates[0][0],
         overlap=overlap_val,
     )
-    if not any(c[2] for c in candidates):
+    if not any(c[1] for c in candidates):
         raise ConvergenceError(
             f"Husimi ascent did not reach gradient tolerance {gtol:.1e}", result
         )
@@ -373,7 +366,7 @@ def e_g_dicke(n: int, k: int) -> GeometricResult:
     value = (
         k * (math.log2(n) - math.log2(k))
         + (n - k) * (math.log2(n) - math.log2(n - k))
-        - math.log2(comb(n, k, exact=True))
+        - math.log2(math.comb(n, k))
     )
     return GeometricResult(value, QubitState(theta, 0.0), 2.0 ** (-value))
 
@@ -409,20 +402,20 @@ def rec_family_state(theta: float, phi: float) -> SymmetricState:
     return state
 
 
-def _rotation_matrix(axis: Star, angle: float) -> np.ndarray:
-    u = axis.as_array()
-    c, s = math.cos(angle), math.sin(angle)
-    ux, uy, uz = u
-    cross = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
-
-
 def rotate_state(state: SymmetricState, axis: Star, angle: float) -> SymmetricState:
     """Rigid rotation of the whole constellation about ``axis`` by ``angle``.
 
-    Equals applying the matching single-qubit unitary to every tensor
-    factor, up to global phase.
+    Applies the spin rotation exp(-i*angle*(axis . J)) in the Dicke basis,
+    which equals the single-qubit rotation on every tensor factor, up to
+    global phase.  (axis . J) is tridiagonal there, with
+    <k|J_z|k> = n/2 - k and <k-1|J_+|k> = sqrt(k(n-k+1)).
     """
-    rot = _rotation_matrix(axis, float(angle))
-    stars = tuple(Star(*(rot @ s.as_array())) for s in state_to_stars(state).stars)
-    return stars_to_state(Constellation(state.n, stars))
+    n = state.n
+    ux, uy, uz = axis.as_array()
+    k = np.arange(n + 1)
+    gen = np.diag(uz * (0.5 * n - k)).astype(np.complex128)
+    upper = 0.5 * complex(ux, -uy) * np.sqrt(k[1:] * (n - k[1:] + 1.0))
+    gen[k[:-1], k[1:]] = upper
+    gen[k[1:], k[:-1]] = upper.conj()
+    lam, vec = np.linalg.eigh(gen)
+    return SymmetricState(n, vec @ (np.exp(-1j * float(angle) * lam) * (vec.conj().T @ state.d)))

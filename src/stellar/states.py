@@ -2,9 +2,10 @@
 
 A permutation-symmetric pure state of ``n`` qubits is stored as its ``n+1``
 Dicke coefficients.  This module covers construction (Dicke states,
-spin-coherent states, symmetrized products of arbitrary single-qubit
-states), Husimi evaluation, the embedding into the full ``2**n`` amplitude
-space with its inverse projection, and the permutation-symmetry check.
+spin-coherent states, GHZ and Bell states, symmetrized products of
+arbitrary single-qubit states), the Dicke isometry into the full ``2**n``
+amplitude space with its embedding and inverse projection, and the
+permutation-symmetry check.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import DomainError, ResourceError, SymmetryViolationError
 
@@ -33,9 +33,10 @@ __all__ = [
     "SymmetryReport",
     "dicke_state",
     "coherent_state",
+    "ghz_state",
+    "bell_state",
     "symmetrize",
     "symmetrization_constant",
-    "husimi",
     "embed_full",
     "project_sym",
     "is_permutation_symmetric",
@@ -53,7 +54,7 @@ _TWO_PI = 2.0 * math.pi
 
 def _sqrt_binom(n: int) -> np.ndarray:
     """sqrt(C(n, k)) for k = 0..n."""
-    return np.sqrt(np.array([float(comb(n, k, exact=True)) for k in range(n + 1)]))
+    return np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
 
 
 def _format_float(x: float) -> str:
@@ -198,6 +199,30 @@ def coherent_state(n: int, center: QubitState) -> SymmetricState:
     return SymmetricState(n, d)
 
 
+def ghz_state(n: int) -> SymmetricState:
+    """(|0...0> + |1...1>) / sqrt(2) on n >= 2 qubits."""
+    n = int(n)
+    if n < 2:
+        raise DomainError("GHZ needs at least 2 qubits")
+    d = np.zeros(n + 1, dtype=np.complex128)
+    d[0] = d[n] = 1.0
+    return SymmetricState(n, d)
+
+
+def bell_state(name: str) -> SymmetricState:
+    """The symmetric Bell states psi+, phi+ and phi-; the singlet psi- is rejected."""
+    name = name.lower()
+    if name == "psi+":
+        return dicke_state(2, 1)
+    if name == "phi+":
+        return SymmetricState(2, [1.0, 0.0, 1.0])
+    if name == "phi-":
+        return SymmetricState(2, [1.0, 0.0, -1.0])
+    if name == "psi-":
+        raise DomainError("the singlet |psi-> is antisymmetric and has no symmetric representation")
+    raise DomainError(f"unknown Bell state {name!r}; use psi+, phi+ or phi-")
+
+
 def _pair_product_coeffs(pairs: Sequence[tuple[complex, complex]]) -> np.ndarray:
     """Coefficients e_k of prod_j (a_j + b_j t) = sum_k e_k t^k.
 
@@ -232,73 +257,50 @@ def symmetrize(parts: Sequence[QubitState]) -> SymmetricState:
         raise DomainError(f"symmetrization produced a zero vector: {exc}") from exc
 
 
-def _ryser_permanent(a: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion with Gray-code updates."""
-    n = a.shape[0]
-    total = 0.0 + 0.0j
-    colsum = np.zeros(n, dtype=np.complex128)
-    prev_gray = 0
-    for subset in range(1, 2**n):
-        gray = subset ^ (subset >> 1)
-        changed = gray ^ prev_gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            colsum += a[:, j]
-        else:
-            colsum -= a[:, j]
-        prev_gray = gray
-        term = np.prod(colsum)
-        total += term if gray.bit_count() % 2 == 0 else -term
-    return complex(total if n % 2 == 0 else -total)
-
-
 def symmetrization_constant(parts: Sequence[QubitState]) -> float:
-    """Squared norm K of the raw permutation sum, via n! * perm(Gram)."""
+    """Squared norm K of the raw permutation sum over the qubit states.
+
+    Every weight-k amplitude of the sum is k!(n-k)! e_k, so
+    K = n! * sum_k k!(n-k)! |e_k|**2 = (n!)**2 * sum_k |e_k|**2 / C(n, k),
+    a sum of positive terms.  Raises ResourceError when K exceeds the
+    float range (K >= n!, and K = (n!)**2 for identical states).
+    """
     n = len(parts)
     if n == 0:
         raise DomainError("need at least one qubit state")
-    if n > 20:
-        raise ResourceError(f"permanent limited to 20 states, got {n}")
-    amps = np.array([q.amplitudes for q in parts])
-    gram = amps.conj() @ amps.T
-    k = math.factorial(n) * _ryser_permanent(gram)
-    if abs(k.imag) > 1e-8 * max(abs(k.real), 1.0) or k.real <= 0.0:
-        raise DomainError(f"symmetrization constant came out non-positive: {k}")
-    return float(k.real)
+    too_large = f"symmetrization constant of {n} states exceeds the float range"
+    try:
+        f = float(math.factorial(n))
+    except OverflowError:
+        raise ResourceError(too_large) from None
+    raw = _pair_product_coeffs([q.amplitudes for q in parts]) / _sqrt_binom(n)
+    k = f * (f * float(np.vdot(raw, raw).real))
+    if not math.isfinite(k):
+        raise ResourceError(too_large)
+    return k
 
 
-def husimi(state: SymmetricState, point: QubitState) -> float:
-    """Squared overlap with the coherent state at ``point``; lies in [0, 1]."""
-    coh = coherent_state(state.n, point)
-    value = abs(np.vdot(state.d, coh.d)) ** 2
-    return float(min(value, 1.0))
+def _dicke_isometry(n: int) -> np.ndarray:
+    """The 2**n x (n+1) isometry whose column k is the Dicke state |n, k>.
 
-
-def _weight_index_sets(n: int) -> list[np.ndarray]:
-    """Amplitude indices grouped by Hamming weight, increasing within each group."""
-    groups: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(2**n):
-        groups[i.bit_count()].append(i)
-    return [np.array(g, dtype=np.intp) for g in groups]
+    Row i holds 1/sqrt(C(n, k)) in the column k of its Hamming weight.
+    """
+    idx = np.arange(2**n)
+    weight = sum((idx >> b) & 1 for b in range(n))
+    iso = np.zeros((2**n, n + 1))
+    iso[idx, weight] = 1.0 / _sqrt_binom(n)[weight]
+    return iso
 
 
 def embed_full(state: SymmetricState) -> FullState:
     """Spread each Dicke coefficient uniformly over its weight class."""
-    n = state.n
-    amps = np.zeros(2**n, dtype=np.complex128)
-    sq = _sqrt_binom(n)
-    for k, idx in enumerate(_weight_index_sets(n)):
-        amps[idx] = state.d[k] / sq[k]
-    return FullState(n, amps)
+    return FullState(state.n, _dicke_isometry(state.n) @ state.d)
 
 
 def project_sym(full: FullState, tol: float = 1e-8) -> SymmetricState:
     """Project onto the symmetric subspace; reject states too far outside it."""
     n = full.n
-    sq = _sqrt_binom(n)
-    d = np.array(
-        [full.amps[idx].sum() / sq[k] for k, idx in enumerate(_weight_index_sets(n))]
-    )
+    d = _dicke_isometry(n).T @ full.amps
     deficit = max(0.0, 1.0 - float(np.linalg.norm(d)) ** 2)
     if deficit > tol:
         raise SymmetryViolationError(

@@ -19,12 +19,6 @@ def uniform_star(rng: np.random.Generator) -> st.Star:
     return st.Star.from_angles(q.theta, q.phi)
 
 
-def ghz(n: int) -> st.SymmetricState:
-    d = np.zeros(n + 1, dtype=complex)
-    d[0] = d[n] = 1.0
-    return st.SymmetricState(n, d)
-
-
 def match_constellations(a: st.Constellation, b: st.Constellation) -> float:
     """Max geodesic error between two constellations under optimal assignment."""
     from scipy.optimize import linear_sum_assignment

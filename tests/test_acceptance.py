@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ghz, haar_state, match_constellations, uniform_star
+from conftest import haar_state, match_constellations, uniform_star
 
 import stellar as st
 from stellar.cli import main as cli_main
@@ -88,10 +88,10 @@ def test_criterion_03_dicke_states():
 
 def test_criterion_04_named_values():
     checks = [
-        ("GHZ3", st.e_g(ghz(3)).value, 1.0),
+        ("GHZ3", st.e_g(st.ghz_state(3)).value, 1.0),
         ("S(4,2)", st.e_g(st.dicke_state(4, 2)).value, math.log2(8 / 3)),
         ("tetrahedron", st.e_g(st.rec_family_state(TETRA_THETA, math.pi / 2)).value, math.log2(3)),
-        ("GHZ4", st.e_g(ghz(4)).value, 1.0),
+        ("GHZ4", st.e_g(st.ghz_state(4)).value, 1.0),
     ]
     for name, got, expect in checks:
         assert abs(got - expect) <= 1e-8, name

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import stellar as st
 from stellar.cli import build_state, main, parse_angle
@@ -102,6 +104,93 @@ class TestExitCodes:
             ["evolve", "--hamiltonian", "X x I", "--state", "00", "--betas", "0:1:5"],
         )
         assert code == 4 and "symmetr" in err.lower()
+
+
+class TestMalformedInput:
+    XY = ["--hamiltonian", "-0.5*X x Y + -0.5*Y x X", "--state", "00", "--betas", "0:1:5"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["measure", "--coherent", "abc", "0", "0"],
+            ["stars", "--ghz", "0", "--state", "01"],
+            ["stars", "--coherent", "3", "pi/0", "0"],
+            ["measure", "--rec4", ".pi", "0"],
+            ["reduce", "--hamiltonian", "X x X", "--beta", ".pi"],
+            ["reduce", "--hamiltonian", "X x X", "--beta", "nan"],
+            ["reduce", "--hamiltonian", "X x X", "--beta", "0.5", "--tol", "nan"],
+            ["reduce", "--hamiltonian", "X x X", "--beta", "0.5", "--tol", "-1"],
+            ["sweep", "--family", "twoqubit", "--grid", "abc"],
+            ["sweep", "--family", "threequbit", "--grid", "-3"],
+            ["evolve", *XY, "--max-step", "nan"],
+            ["evolve", *XY, "--max-step", "-1"],
+            ["velocity", *XY, "--max-step", "0"],
+            ["velocity", *XY, "--divergence-threshold", "nan"],
+            ["velocity", *XY, "--divergence-threshold", "-1"],
+        ],
+    )
+    def test_domain_error_is_3(self, capsys, args):
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_line_family_grid_forms(self, capsys):
+        _, bare, _ = run_cli(capsys, ["sweep", "--family", "twoqubit", "--grid", "4"])
+        _, rxc, _ = run_cli(capsys, ["sweep", "--family", "twoqubit", "--grid", "4x9"])
+        assert bare == rxc and len(bare.strip().split("\n")) == 5
+
+
+# malformed values for every numeric or state flag; none is a valid large
+# size, so every accepted command stays at n <= 4 and grids <= 5 points
+_BAD_NUMBERS = ["", " ", "abc", "nan", "-nan", "inf", "-inf", "1e999", "-1", "0", "-0.0", ".", ".pi", "pi/0",
+                "2pi/", "1/0", "0x0", "1x", "x2", "3x-1", "-2x3", "2:3", "1:2:3", "1e-400", "0b1"]
+_BAD_TEXT = hs.one_of(
+    hs.sampled_from(_BAD_NUMBERS),
+    hs.text(alphabet="x:/.+-*eEpinaf ()", max_size=8),
+)
+_BAD_STATE = hs.one_of(
+    hs.sampled_from(["", "2", "012", "ghz:1", "w:0", "dicke:4:9", "bell:psi-", "bell:xyz", "tetra:1",
+                     "rec4:2:0", "nonexistent.json", ".", "coherent:0:0:0"]),
+    hs.builds(
+        lambda head, args: ":".join([head, *args]),
+        hs.sampled_from(["dicke", "ghz", "w", "bell", "rec4", "coherent"]),
+        hs.lists(hs.sampled_from(_BAD_NUMBERS + ["1", "2", "3"]), max_size=3),
+    ),
+)
+_BASE = {
+    "stars": ["stars", "--state", "011"],
+    "measure": ["measure", "--state", "011", "--eg", "--husimi-grid", "3x4"],
+    "compose": ["compose", "--state", "0", "--state", "1"],
+    "sweep": ["sweep", "--family", "twoqubit", "--grid", "3", "--eg", "--husimi-grid", "3x4"],
+    "random": ["random", "--n", "3", "--seed", "1"],
+    "evolve": ["evolve", "--hamiltonian", "X x X + Y x Y", "--state", "01", "--betas", "0:1:3"],
+    "velocity": ["velocity", "--hamiltonian", "X x X + Y x Y", "--state", "01", "--betas", "0:1:3"],
+    "reduce": ["reduce", "--hamiltonian", "X x X + Y x Y", "--beta", "0.5"],
+}
+
+
+@given(
+    sub=hs.sampled_from(sorted(_BASE)),
+    flag=hs.sampled_from(["--grid", "--husimi-grid", "--betas", "--max-step", "--divergence-threshold",
+                          "--tol", "--coherent", "--state"]),
+    family=hs.sampled_from(["rec4", "twoqubit", "threequbit"]),
+    values=hs.lists(_BAD_TEXT, min_size=3, max_size=3),
+    state=_BAD_STATE,
+)
+@settings(max_examples=300, deadline=None)
+def test_malformed_flags_keep_exit_codes(sub, flag, family, values, state):
+    argv = list(_BASE[sub])
+    if sub == "sweep":
+        argv += ["--family", family]
+    if flag == "--coherent":
+        argv += [flag, *values]
+    else:
+        argv += [flag, state if flag == "--state" else values[0]]
+    try:  # any other exception is the traceback this test rules out
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
 
 
 class TestDeterminism:

@@ -259,6 +259,53 @@ class TestEvolve:
         assert traj.betas.size == 4  # no midpoints were allowed
 
 
+class TestMatch:
+    def test_reaches_brute_force_optimum(self):
+        import itertools
+
+        from stellar.dynamics import _match
+
+        rng = np.random.default_rng(2718)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            prev = st.state_to_stars(haar_state(n, rng)).as_array()
+            new = st.state_to_stars(haar_state(n, rng)).as_array()
+            cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
+            best = min(sum(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+            matched, move = _match(prev, new)
+            got = np.arccos(np.clip(np.sum(prev * matched, axis=1), -1.0, 1.0))
+            assert abs(got.sum() - best) <= 1e-12
+            assert move == pytest.approx(got.max(), abs=1e-15)
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("max_step", [math.nan, math.inf, 0.0, -1.0])
+    def test_evolve_max_step(self, max_step):
+        h = st.build_matrix(parse(XY_HALF))
+        with pytest.raises(DomainError):
+            st.evolve(h, st.dicke_state(2, 0), [0.0, 1.0], max_step=max_step)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_velocity_divergence_threshold(self, threshold):
+        traj = st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), np.linspace(0, 1, 5))
+        with pytest.raises(DomainError):
+            st.velocity_profile(traj, divergence_threshold=threshold)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+    def test_reduce_tol(self, tol):
+        with pytest.raises(DomainError):
+            st.reduce_unitary(np.eye(4), tol=tol)
+
+    def test_exponentiate_beta(self):
+        with pytest.raises(DomainError):
+            st.exponentiate(np.eye(4), math.nan)
+
+    def test_reduce_shape(self):
+        for m in (np.eye(3), np.ones(4), np.eye(1), np.zeros((2, 4))):
+            with pytest.raises(DomainError):
+                st.reduce_unitary(m)
+
+
 class TestVelocity:
     def test_pair_flow_closed_form(self):
         h = st.build_matrix(parse(PAIR_FLOW))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ghz, haar_state, uniform_qubit, uniform_star
+from conftest import haar_state, uniform_qubit, uniform_star
 
 import stellar as st
 from stellar.errors import DomainError
@@ -75,7 +75,7 @@ class TestBarycentricMeasure:
 
 class TestGeometricMeasure:
     def test_ghz3(self):
-        r = st.e_g(ghz(3))
+        r = st.e_g(st.ghz_state(3))
         assert r.value == pytest.approx(1.0, abs=1e-8)
 
     def test_w4_value(self):
@@ -86,7 +86,7 @@ class TestGeometricMeasure:
         assert st.e_g(s).value == pytest.approx(math.log2(3), abs=1e-8)
 
     def test_ghz4(self):
-        assert st.e_g(ghz(4)).value == pytest.approx(1.0, abs=1e-8)
+        assert st.e_g(st.ghz_state(4)).value == pytest.approx(1.0, abs=1e-8)
 
     def test_coherent_zero_with_witness(self):
         q = uniform_qubit(RNG)
@@ -215,9 +215,29 @@ class TestRotateState:
             angle = RNG.uniform(0, 2 * math.pi)
             assert st.e_b(st.rotate_state(s, axis, angle)) == pytest.approx(base, abs=1e-12)
 
+    @staticmethod
+    def _rotate_qubit(q, axis, angle):
+        # Rodrigues rotation of the Bloch vector
+        u, v = axis.as_array(), q.bloch_vector()
+        r = v * math.cos(angle) + np.cross(u, v) * math.sin(angle) + u * (u @ v) * (1 - math.cos(angle))
+        return st.QubitState(math.acos(min(1.0, max(-1.0, r[2]))), math.atan2(r[1], r[0]))
+
+    @pytest.mark.parametrize("n", [90, 200])
+    @pytest.mark.parametrize("kind", ["uniform", "coherent"])
+    def test_equals_symmetrized_rotated_qubits(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "uniform":
+            qs = [uniform_qubit(rng) for _ in range(n)]
+        else:
+            qs = [uniform_qubit(rng)] * n
+        axis, angle = uniform_star(rng), float(rng.uniform(0, 2 * math.pi))
+        rotated = st.rotate_state(st.symmetrize(qs), axis, angle)
+        expected = st.symmetrize([self._rotate_qubit(q, axis, angle) for q in qs])
+        assert st.fidelity(rotated, expected) >= 1 - 1e-12
+
     def test_rotated_ghz4_keeps_eg(self):
-        base = st.e_g(ghz(4)).value
-        rotated = st.rotate_state(ghz(4), st.Star(0, 1, 0), math.pi / 2)
+        base = st.e_g(st.ghz_state(4)).value
+        rotated = st.rotate_state(st.ghz_state(4), st.Star(0, 1, 0), math.pi / 2)
         assert st.e_g(rotated).value == pytest.approx(base, abs=1e-8)
 
     def test_rotated_ghz4_matches_rec_parameters(self):

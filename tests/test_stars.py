@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ghz, haar_state, match_constellations, uniform_qubit, uniform_star
+from conftest import haar_state, match_constellations, uniform_qubit, uniform_star
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -63,7 +63,7 @@ class TestStateToStars:
         assert zs[k:] == [1.0] * (n - k)
 
     def test_ghz3_equator_triangle(self):
-        c = st.state_to_stars(ghz(3))
+        c = st.state_to_stars(st.ghz_state(3))
         for s in c.stars:
             assert abs(s.z) < 1e-12
         phis = sorted(s.phi for s in c.stars)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ghz, haar_state, uniform_qubit
+from conftest import haar_state, uniform_qubit
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -108,9 +108,20 @@ class TestSymmetrize:
         k = st.symmetrization_constant(qs)
         assert abs(k - np.linalg.norm(vec) ** 2) <= 1e-10 * k
 
-    def test_constant_size_limit(self):
+    def test_constant_identical_states(self):
+        n = 30
+        k = st.symmetrization_constant([st.QubitState(1.1, 0.4)] * n)
+        assert k == pytest.approx(float(math.factorial(n)) ** 2, rel=1e-12)
+
+    def test_constant_half_up_half_down(self):
+        n = 30
+        qs = [st.QubitState(0, 0)] * (n // 2) + [st.QubitState(math.pi, 0)] * (n // 2)
+        expected = math.factorial(n) * math.factorial(n // 2) ** 2
+        assert st.symmetrization_constant(qs) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_constant_overflow_is_resource_error(self):
         with pytest.raises(ResourceError):
-            st.symmetrization_constant([st.QubitState(0, 0)] * 21)
+            st.symmetrization_constant([st.QubitState(0, 0)] * 120)
 
 
 class TestCoherent:
@@ -253,4 +264,4 @@ class TestConstructorInvariants:
 
     def test_ghz_helper_norm(self):
         for n in (2, 5, 9):
-            assert abs(np.linalg.norm(ghz(n).d) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(st.ghz_state(n).d) - 1.0) < 1e-12
