@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NumericError, SymmetryViolationError
 from .hamiltonians import HermitianOperator
 from .stars import state_to_stars
-from .states import SymmetricState, _dicke_isometry, _format_float, _transposition_index_maps
+from .states import SymmetricState, _dicke_isometry, _format_float
 
 __all__ = [
     "TransitionBasis",
@@ -103,11 +102,30 @@ class VelocityProfile:
     flags: np.ndarray
 
 
+# one of each pair of sub-blocks (row bit i, row bit j, column bit i, column
+# bit j) that the transposition of qubits i and j swaps; the pair of
+# (a, b, c, d) is (b, a, d, c), and the four blocks with a == b, c == d stay
+_MOVED_BLOCKS = [k for k in np.ndindex(2, 2, 2, 2) if k < (k[1], k[0], k[3], k[2])]
+
+
 def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
-    """Largest entrywise violation of [H, P] = 0 over all transpositions P."""
+    """Largest entrywise violation of [H, P] = 0 over all transpositions P.
+
+    Each transposition is checked on a tensor view of the matrix with the
+    row and column bits of its two qubits as axes, by comparing the six
+    pairs of sub-blocks it swaps as strided views.
+    """
+    m = np.ascontiguousarray(matrix)
     deficit = 0.0
-    for perm in _transposition_index_maps(n):
-        deficit = max(deficit, float(np.abs(matrix[np.ix_(perm, perm)] - matrix).max()))
+    for i in range(n):
+        for j in range(i + 1, n):
+            side = (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
+            t = m.reshape(side + side)
+            worst = [
+                np.abs(t[:, a, :, b, :, :, c, :, d] - t[:, b, :, a, :, :, d, :, c]).max()
+                for a, b, c, d in _MOVED_BLOCKS
+            ]
+            deficit = max(deficit, float(np.max(worst)))
     return deficit
 
 
@@ -118,6 +136,8 @@ def _as_matrix(h: HermitianOperator | np.ndarray) -> tuple[np.ndarray, int]:
     dim = m.shape[0] if m.ndim == 2 else 0
     if m.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise DomainError(f"matrix shape {m.shape} is not 2^n x 2^n")
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
     return m, dim.bit_length() - 1
 
 
@@ -195,6 +215,8 @@ def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     Hungarian assignment; returns the reordered star array and the largest
     single move.
     """
+    from scipy.optimize import linear_sum_assignment  # deferred: most CLI commands never match stars
+
     cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
     rows, order = linear_sum_assignment(cost)
     return new[order], float(cost[rows, order].max())
@@ -237,7 +259,10 @@ def evolve(
     # project H onto the Dicke block and diagonalize once
     s = _dicke_isometry(n)
     h_block = s.T @ m @ s
-    lam, q = np.linalg.eigh(h_block)
+    try:
+        lam, q = np.linalg.eigh(h_block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
     coeff0 = q.conj().T @ psi0.d
 
     def state_at(beta: float) -> SymmetricState:

@@ -22,7 +22,6 @@ qubits.  This grammar is also the wire format of the CLI
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -53,6 +52,9 @@ FACTORS = {
 }
 
 _PAULI = ("I", "X", "Y", "Z")
+
+# the largest dense matrix build_matrix allocates: 16 * 4^n bytes for n qubits
+MAX_MATRIX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -153,26 +155,37 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {want!r}", tok.line, tok.column, tok.text)
         return self.advance()
 
-    # coeff := decimal | decimal '/' decimal | '1/sqrt(' d ')' | 'sqrt(' d ')'
-    def coefficient(self) -> float:
+    def number(self) -> tuple[float, _Token]:
+        tok = self.expect("number")
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ExpressionSemanticError("coefficient is not finite", tok.line, tok.column, tok.text)
+        return value, tok
+
+    # operand := decimal | 'sqrt(' decimal ')'; returns the value and its number token
+    def operand(self) -> tuple[float, _Token]:
         tok = self.peek()
-        if tok.kind == "name" and tok.text == "sqrt":
-            self.advance()
-            self.expect("sym", "(")
-            num = float(self.expect("number").text)
-            self.expect("sym", ")")
-            return math.sqrt(num)
-        value = float(self.expect("number").text)
+        if not (tok.kind == "name" and tok.text == "sqrt"):
+            return self.number()
+        self.advance()
+        self.expect("sym", "(")
+        value, num = self.number()
+        self.expect("sym", ")")
+        return math.sqrt(value), num
+
+    # coeff := decimal | decimal '/' operand | 'sqrt(' decimal ')'
+    def coefficient(self) -> float:
+        if self.peek().kind == "name":
+            return self.operand()[0]
+        value, _ = self.number()
         if self.peek().kind == "sym" and self.peek().text == "/":
             self.advance()
-            nxt = self.peek()
-            if nxt.kind == "name" and nxt.text == "sqrt":
-                self.advance()
-                self.expect("sym", "(")
-                num = float(self.expect("number").text)
-                self.expect("sym", ")")
-                return value / math.sqrt(num)
-            return value / float(self.expect("number").text)
+            divisor, tok = self.operand()
+            if divisor == 0.0:
+                raise ExpressionSemanticError("division by zero", tok.line, tok.column, tok.text)
+            value /= divisor
+            if not math.isfinite(value):
+                raise ExpressionSemanticError("coefficient is not finite", tok.line, tok.column, tok.text)
         return value
 
     def factor(self) -> str:
@@ -298,6 +311,8 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (2**self.n, 2**self.n):
             raise DomainError(f"matrix shape {m.shape} does not match {self.n} qubits")
+        if not np.isfinite(m).all():
+            raise DomainError("matrix has non-finite entries")
         deficit = float(np.abs(m - m.conj().T).max())
         if deficit > 1e-12:
             raise DomainError(f"matrix is not Hermitian (deficit {deficit:.3e})")
@@ -306,31 +321,80 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def _kron_chain(factors: tuple[str, ...]) -> np.ndarray:
-    out = FACTORS[factors[0]]
-    for name in factors[1:]:
-        out = np.kron(out, FACTORS[name])
-    return out
+def _arrangements(factors: tuple[str, ...]):
+    """Distinct arrangements of a factor list in lexicographic order.
+
+    Next-permutation over the sorted list, so each arrangement of the
+    multiset appears once and n! orderings are never enumerated.
+    """
+    a = sorted(factors)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
+# row bit b of a factor has its one possible nonzero entry in column b ^ flip
+_FLIPS = {name: int(name in ("X", "Y")) for name in FACTORS}
+_ENTRIES = {name: FACTORS[name][[0, 1], [f, 1 - f]] for name, f in _FLIPS.items()}
+
+
+def _monomial_sums(strings, bits: list[np.ndarray]) -> dict[int, np.ndarray]:
+    """Sum of factor strings as monomial matrices, grouped by column flip mask.
+
+    A string's matrix has one entry per row r, in column r ^ mask, where
+    mask holds the bits of its X/Y factors.  The entry is the product of
+    the per-qubit factor entries, taken as vectors over the 2^n rows.  All
+    factor entries are 0, +-1 or +-i, so every sum is an exact Gaussian
+    integer.
+    """
+    n = len(bits)
+    sums: dict[int, np.ndarray] = {}
+    for factors in strings:
+        mask = 0
+        values = np.ones(bits[0].size, dtype=np.complex128)
+        for q, name in enumerate(factors):
+            mask |= _FLIPS[name] << (n - 1 - q)
+            if name not in ("I", "X"):  # their entries are all 1
+                values *= _ENTRIES[name][bits[q]]
+        if mask in sums:
+            sums[mask] += values
+        else:
+            sums[mask] = values
+    return sums
 
 
 def build_matrix(expr: HamiltonianExpr) -> HermitianOperator:
-    """Dense matrix of an expression; qubit counts above 14 are rejected."""
+    """Dense matrix of an expression, limited to MAX_MATRIX_BYTES per matrix.
+
+    Each term's strings are summed exactly and scaled by the coefficient
+    once, so the result does not depend on how the strings are grouped.
+    """
     n = expr.arity
-    if n > 14:
-        raise ResourceError(f"dense matrices limited to 14 qubits, got {n}")
-    dim = 2**n
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    need = 16 * 4**n
+    if need > MAX_MATRIX_BYTES:
+        raise ResourceError(
+            f"a dense {n}-qubit matrix needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
+        )
+    rows = np.arange(2**n)
+    bits = [(rows >> (n - 1 - q)) & 1 for q in range(n)]
+    total = np.zeros((2**n, 2**n), dtype=np.complex128)
     for term in expr.terms:
         if isinstance(term, PairTerm):
             si, sj = _PAULI[term.i], _PAULI[term.j]
-            block = 0.5 * (_kron_chain((si, sj)) + _kron_chain((sj, si)))
+            strings, weight = ((si, sj), (sj, si)), 0.5
         elif isinstance(term, SymTerm):
-            # distinct arrangements only, in sorted order for determinism
-            arrangements = sorted(set(itertools.permutations(term.factors)))
-            block = np.zeros((dim, dim), dtype=np.complex128)
-            for arr in arrangements:
-                block += _kron_chain(arr)
+            strings, weight = _arrangements(term.factors), 1.0
         else:
-            block = _kron_chain(term.factors)
-        total += term.coeff * block
+            strings, weight = (term.factors,), 1.0
+        for mask, values in _monomial_sums(strings, bits).items():
+            total[rows, rows ^ mask] += term.coeff * (weight * values)
     return HermitianOperator(n, total)

@@ -94,6 +94,14 @@ class TestExitCodes:
         )
         assert code == 2 and "Q" in err
 
+    @pytest.mark.parametrize("sub", ["evolve", "reduce"])
+    @pytest.mark.parametrize("ham", ["1/0*X x X", "2/sqrt(0)*sym(X Z)", "1e999*X x X"])
+    def test_bad_hamiltonian_coefficient_is_2(self, capsys, sub, ham):
+        tail = ["--state", "00", "--betas", "0:1:5"] if sub == "evolve" else ["--beta", "0.5"]
+        code, out, err = run_cli(capsys, [sub, "--hamiltonian", ham, *tail])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_domain_error_is_3(self, capsys):
         code, _, _ = run_cli(capsys, ["measure", "--dicke", "4", "9", "--eb"])
         assert code == 3
@@ -157,6 +165,10 @@ _BAD_STATE = hs.one_of(
         hs.lists(hs.sampled_from(_BAD_NUMBERS + ["1", "2", "3"]), max_size=3),
     ),
 )
+_BAD_HAMILTONIAN = hs.one_of(
+    hs.sampled_from(["1/0*X x X", "2/sqrt(0)*sym(X Z)", "1e999*X x X", "sqrt(1e999)*Z x Z", "1e300/1e-300*H(1,1)"]),
+    hs.builds(lambda c: f"{c}*sym(X Z)", hs.sampled_from(_BAD_NUMBERS)),
+)
 _BASE = {
     "stars": ["stars", "--state", "011"],
     "measure": ["measure", "--state", "011", "--eg", "--husimi-grid", "3x4"],
@@ -172,20 +184,21 @@ _BASE = {
 @given(
     sub=hs.sampled_from(sorted(_BASE)),
     flag=hs.sampled_from(["--grid", "--husimi-grid", "--betas", "--max-step", "--divergence-threshold",
-                          "--tol", "--coherent", "--state"]),
+                          "--tol", "--coherent", "--state", "--hamiltonian"]),
     family=hs.sampled_from(["rec4", "twoqubit", "threequbit"]),
     values=hs.lists(_BAD_TEXT, min_size=3, max_size=3),
     state=_BAD_STATE,
+    hamiltonian=_BAD_HAMILTONIAN,
 )
 @settings(max_examples=300, deadline=None)
-def test_malformed_flags_keep_exit_codes(sub, flag, family, values, state):
+def test_malformed_flags_keep_exit_codes(sub, flag, family, values, state, hamiltonian):
     argv = list(_BASE[sub])
     if sub == "sweep":
         argv += ["--family", family]
     if flag == "--coherent":
         argv += [flag, *values]
     else:
-        argv += [flag, state if flag == "--state" else values[0]]
+        argv += [flag, {"--state": state, "--hamiltonian": hamiltonian}.get(flag, values[0])]
     try:  # any other exception is the traceback this test rules out
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors

@@ -5,7 +5,7 @@ import pytest
 from conftest import haar_state
 
 import stellar as st
-from stellar.errors import DomainError, SymmetryViolationError
+from stellar.errors import DomainError, NumericError, SymmetryViolationError
 from stellar.hamiltonians import parse
 
 RNG = np.random.default_rng(31415)
@@ -299,6 +299,27 @@ class TestArgumentValidation:
     def test_exponentiate_beta(self):
         with pytest.raises(DomainError):
             st.exponentiate(np.eye(4), math.nan)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_non_finite_matrix(self, bad):
+        m = np.array(st.build_matrix(parse(XY_HALF)).matrix)
+        m[0, 3] = bad
+        with pytest.raises(DomainError):
+            st.evolve(m, st.dicke_state(2, 0), [0.0, 1.0])
+        with pytest.raises(DomainError):
+            st.exponentiate(m, 0.5)
+        with pytest.raises(DomainError):
+            st.reduce_unitary(m)
+
+    def test_evolve_eigh_failure_is_numeric_error(self, monkeypatch):
+        h = st.build_matrix(parse(XY_HALF))
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            st.evolve(h, st.dicke_state(2, 0), [0.0, 1.0])
 
     def test_reduce_shape(self):
         for m in (np.eye(3), np.ones(4), np.eye(1), np.zeros((2, 4))):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,19 @@ from hypothesis import strategies as hs
 
 import stellar as st
 from stellar.dynamics import operator_symmetry_deficit
-from stellar.errors import ExpressionSemanticError, ExpressionSyntaxError, ResourceError
-from stellar.hamiltonians import FACTORS, PairTerm, SymTerm, TensorTerm, parse, pretty
+from stellar.errors import DomainError, ExpressionSemanticError, ExpressionSyntaxError, ResourceError
+from stellar.hamiltonians import (
+    FACTORS,
+    MAX_MATRIX_BYTES,
+    HermitianOperator,
+    PairTerm,
+    SymTerm,
+    TensorTerm,
+    _arrangements,
+    parse,
+    pretty,
+)
+from stellar.states import _transposition_index_maps
 
 X, Y, Z, I2 = FACTORS["X"], FACTORS["Y"], FACTORS["Z"], FACTORS["I"]
 
@@ -67,6 +79,24 @@ class TestParse:
         with pytest.raises(ExpressionSemanticError):
             parse("H(0,4)")
 
+    @pytest.mark.parametrize(
+        "src,token",
+        [
+            ("1/0*X x X", "0"),
+            ("2/sqrt(0)*sym(X Z)", "0"),
+            ("1/1e-400*Z", "1e-400"),
+            ("1e999*X x X", "1e999"),
+            ("sqrt(1e999)*Z", "1e999"),
+            ("Z + 1/sqrt(1e999)*Z", "1e999"),
+            ("1e300/1e-300*Z", "1e-300"),
+        ],
+    )
+    def test_bad_coefficient_reports_location(self, src, token):
+        with pytest.raises(ExpressionSemanticError) as err:
+            parse(src)
+        assert err.value.token == token
+        assert src[err.value.column - 1 :].startswith(token)
+
     def test_whitespace_insensitive(self):
         a = st.build_matrix(parse("1/sqrt(2)*H(2,3)+1/sqrt(2)*H(0,3)")).matrix
         b = st.build_matrix(parse(" 1 / sqrt( 2 ) * H( 2 , 3 )  +  1/sqrt(2) * H(0,3) ")).matrix
@@ -113,6 +143,19 @@ class TestBuildMatrix:
         with pytest.raises(ResourceError):
             st.build_matrix(parse(src))
 
+    def test_size_limit_in_bytes(self):
+        # 16 * 4^14 bytes is 4 GiB, past the 1 GiB limit; raised before allocating
+        assert 16 * 4**13 <= MAX_MATRIX_BYTES < 16 * 4**14
+        with pytest.raises(ResourceError, match=str(16 * 4**14)):
+            st.build_matrix(parse("sym(Z Z" + " I" * 12 + ")"))
+
+    def test_non_finite_matrix_rejected(self):
+        for bad in (np.inf, np.nan, complex(0, np.inf)):
+            m = np.eye(4, dtype=complex)
+            m[1, 1] = bad
+            with pytest.raises(DomainError):
+                HermitianOperator(2, m)
+
     def test_projector_factors(self):
         h = st.build_matrix(parse("P0 x P1 + P1 x P0")).matrix
         assert np.allclose(h, np.diag([0.0, 1.0, 1.0, 0.0]))
@@ -146,3 +189,103 @@ class TestPrettyPrint:
     def test_pair_round_trip(self):
         expr = st.HamiltonianExpr((PairTerm(-0.25, 1, 3), PairTerm(2.0, 0, 2)))
         assert parse(pretty(expr)) == expr
+
+
+def _kron_chain(factors):
+    out = FACTORS[factors[0]]
+    for name in factors[1:]:
+        out = np.kron(out, FACTORS[name])
+    return out
+
+
+def _reference_build(expr):
+    """The original builder: every permutation, then one kron chain per arrangement."""
+    dim = 2**expr.arity
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for term in expr.terms:
+        if isinstance(term, PairTerm):
+            si, sj = "IXYZ"[term.i], "IXYZ"[term.j]
+            block = 0.5 * (_kron_chain((si, sj)) + _kron_chain((sj, si)))
+        elif isinstance(term, SymTerm):
+            block = np.zeros((dim, dim), dtype=np.complex128)
+            for arr in sorted(set(itertools.permutations(term.factors))):
+                block += _kron_chain(arr)
+        else:
+            block = _kron_chain(term.factors)
+        total += term.coeff * block
+    return total
+
+
+def _reference_deficit(matrix, n):
+    """The original symmetry check: a gathered copy per transposition."""
+    deficit = 0.0
+    for perm in _transposition_index_maps(n):
+        deficit = max(deficit, float(np.abs(matrix[np.ix_(perm, perm)] - matrix).max()))
+    return deficit
+
+
+def _lipkin(n, alpha):
+    """The benchmark's Lipkin model: sym(Z Z I..) + 0.5 sym(X I..) turned by alpha about z."""
+    terms = [f"sym(Z Z{' I' * (n - 2)})"]
+    for coeff, pauli in ((math.cos(alpha), "X"), (math.sin(alpha), "Y")):
+        c = 0.5 * coeff
+        terms.append(f"{'-' if c < 0 else '+'} {abs(c)!r}*sym({pauli}{' I' * (n - 1)})")
+    return " ".join(terms)
+
+
+@hs.composite
+def _expressions(draw):
+    n = draw(hs.integers(1, 6))
+    coeff = hs.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
+    factors = hs.lists(hs.sampled_from(_FACTOR_NAMES), min_size=n, max_size=n).map(tuple)
+    kinds = [hs.builds(TensorTerm, coeff, factors), hs.builds(SymTerm, coeff, factors)]
+    if n == 2:
+        kinds.append(hs.builds(PairTerm, coeff, hs.integers(0, 3), hs.integers(0, 3)))
+    return st.HamiltonianExpr(tuple(draw(hs.lists(hs.one_of(kinds), min_size=1, max_size=4))))
+
+
+class TestAgainstReference:
+    @given(_expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_build_bitwise(self, expr):
+        assert st.build_matrix(expr).matrix.tobytes() == _reference_build(expr).tobytes()
+
+    @given(hs.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=10, deadline=None)
+    def test_lipkin_bitwise(self, alpha):
+        expr = parse(_lipkin(8, alpha))
+        assert st.build_matrix(expr).matrix.tobytes() == _reference_build(expr).tobytes()
+
+    def test_two_body_bitwise(self):
+        expr = parse("sym(X Z" + " I" * 6 + ")")
+        assert st.build_matrix(expr).matrix.tobytes() == _reference_build(expr).tobytes()
+
+    def test_arrangements_distinct_and_sorted(self):
+        factors = ("Z", "Z") + ("I",) * 8
+        got = list(_arrangements(factors))
+        assert len(got) == 45
+        assert got == sorted(set(itertools.permutations(factors)))
+        for factors in (("X",), ("Y", "P1", "X", "P1"), ("Z", "I", "Y", "X", "P0")):
+            assert list(_arrangements(factors)) == sorted(set(itertools.permutations(factors)))
+
+    @given(_expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_deficit_exact_on_built(self, expr):
+        m = st.build_matrix(expr).matrix
+        assert operator_symmetry_deficit(m, expr.arity) == _reference_deficit(m, expr.arity)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_deficit_exact_on_dense(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            assert operator_symmetry_deficit(m, n) == _reference_deficit(m, n)
+            assert operator_symmetry_deficit(m.T, n) == _reference_deficit(m.T, n)
+
+    def test_deficit_exact_on_perturbed_symmetric(self):
+        m = st.build_matrix(parse(_lipkin(6, 0.4))).matrix.copy()
+        assert operator_symmetry_deficit(m, 6) == 0.0
+        m[5, 40] += 1e-13
+        deficit = operator_symmetry_deficit(m, 6)
+        assert deficit == _reference_deficit(m, 6)
+        assert 0.0 < deficit <= 2e-13
