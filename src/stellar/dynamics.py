@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, SymmetryViolationError
 from .hamiltonians import HermitianOperator
-from .stars import state_to_stars
+from .measures import _e_b
+from .stars import _angles, _star_vectors
 from .states import SymmetricState, _dicke_isometry, _format_float
 
 __all__ = [
@@ -85,12 +86,11 @@ class Trajectory:
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.arccos(np.clip(self.stars[:, :, 2], -1.0, 1.0))
+        return _angles(self.stars)[0]
 
     @property
     def phis(self) -> np.ndarray:
-        # atan2(0, 0) = 0 already canonicalizes the poles
-        return np.arctan2(self.stars[:, :, 1], self.stars[:, :, 0]) % (2.0 * math.pi)
+        return _angles(self.stars)[1]
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,8 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     pairs of sub-blocks it swaps as strided views.
     """
     m = np.ascontiguousarray(matrix)
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
     deficit = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -268,17 +270,14 @@ def evolve(
     def state_at(beta: float) -> SymmetricState:
         return SymmetricState(n, q @ (np.exp(-1j * beta * lam) * coeff0))
 
-    def stars_at(state: SymmetricState) -> np.ndarray:
-        return state_to_stars(state).as_array()
-
     out_betas = [float(grid[0])]
     out_states = [state_at(grid[0])]
-    out_stars = [stars_at(out_states[0])]
+    out_stars = [_star_vectors(out_states[0])]
     out_flags = [False]
 
     def advance(b0: float, stars0: np.ndarray, b1: float, depth: int):
         state1 = state_at(b1)
-        matched, move = _match(stars0, stars_at(state1))
+        matched, move = _match(stars0, _star_vectors(state1))
         if move <= max_step or depth >= max_depth:
             out_betas.append(b1)
             out_states.append(state1)
@@ -293,12 +292,11 @@ def evolve(
         advance(float(b0), out_stars[-1], float(b1), 0)
 
     stars_arr = np.array(out_stars)
-    eb = np.array([max(0.0, 1.0 - float(np.linalg.norm(frame.mean(axis=0))) ** 2) for frame in stars_arr])
     return Trajectory(
         betas=np.array(out_betas),
         states=tuple(out_states),
         stars=stars_arr,
-        e_b=eb,
+        e_b=_e_b(stars_arr),
         discontinuity=np.array(out_flags, dtype=bool),
     )
 

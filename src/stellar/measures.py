@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .stars import Constellation, Star, state_to_stars
+from .stars import Constellation, Star, _angles, _star_vectors
 from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
 
 __all__ = [
@@ -69,10 +69,14 @@ def barycenter(c: Constellation) -> Barycenter:
     return b
 
 
+def _e_b(v: np.ndarray) -> np.ndarray:
+    """1 - d**2 of the barycenter of each star set in v (..., n, 3)."""
+    return np.maximum(0.0, 1.0 - np.sum(v.mean(axis=-2) ** 2, axis=-1))
+
+
 def e_b(obj: SymmetricState | Constellation) -> float:
     """Barycentric measure 1 - d**2, in [0, 1]."""
-    c = state_to_stars(obj) if isinstance(obj, SymmetricState) else obj
-    return max(0.0, 1.0 - barycenter(c).d ** 2)
+    return float(_e_b(_star_vectors(obj) if isinstance(obj, SymmetricState) else obj.as_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +328,8 @@ def e_g(
         if len(starts) >= n_grid_starts:
             break
         _push(tt[i], pp[i], spacing)
-    for s in state_to_stars(state).stars:
-        _push(s.theta, s.phi, 1e-6)
+    for th_star, ph_star in zip(*_angles(_star_vectors(state))):
+        _push(th_star, ph_star, 1e-6)
 
     th0 = np.array([s[0] for s in starts])
     ph0 = np.array([s[1] for s in starts])

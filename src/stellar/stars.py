@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import QubitState, SymmetricState, _format_float, _sqrt_binom, _state_from_pairs
+from .states import SymmetricState, _format_float, _sqrt_binom, _state_from_pairs
 
 __all__ = [
     "Star",
@@ -43,6 +43,29 @@ __all__ = [
 _STRIP_TOL = 1e-13
 
 
+def _on_sphere(v: np.ndarray) -> np.ndarray:
+    """Star vectors (..., 3), unchanged; DomainError unless finite and of length 1 to 1e-6."""
+    r = np.sqrt(np.einsum("...i,...i", v, v))
+    if not (np.abs(r - 1.0) <= 1e-6).all():  # false for NaN and inf as well
+        raise DomainError(f"star coordinates must be finite and on the unit sphere, |v| = {r}")
+    return v
+
+
+def _angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of star vectors (..., 3); phi is 0 on the z axis."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    phi = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x) % (2.0 * math.pi))
+    return np.arccos(np.clip(z, -1.0, 1.0)), phi
+
+
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """Amplitudes (a, b) of the qubit a|0> + b|1> at each star; exact at the south pole."""
+    theta, phi = _angles(v)
+    pairs = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+    pairs[theta == math.pi] = (0.0, 1.0)
+    return pairs
+
+
 @dataclass(frozen=True)
 class Star:
     """A point on the unit sphere; (theta, phi) are derived views."""
@@ -52,16 +75,9 @@ class Star:
     z: float
 
     def __post_init__(self):
-        v = np.array([self.x, self.y, self.z], dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("star coordinates must be finite")
-        r = float(np.linalg.norm(v))
-        if abs(r - 1.0) > 1e-6:
-            raise DomainError(f"star must sit on the unit sphere, |v| = {r}")
-        v /= r
-        object.__setattr__(self, "x", float(v[0]))
-        object.__setattr__(self, "y", float(v[1]))
-        object.__setattr__(self, "z", float(v[2]))
+        v = _on_sphere(np.array([self.x, self.y, self.z], dtype=float))
+        for name, value in zip("xyz", (v / math.sqrt(v @ v)).tolist()):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "Star":
@@ -70,19 +86,14 @@ class Star:
 
     @property
     def theta(self) -> float:
-        return math.acos(min(1.0, max(-1.0, self.z)))
+        return float(_angles(self.as_array())[0])
 
     @property
     def phi(self) -> float:
-        if self.x == 0.0 and self.y == 0.0:
-            return 0.0
-        return math.atan2(self.y, self.x) % (2.0 * math.pi)
+        return float(_angles(self.as_array())[1])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def as_qubit(self) -> QubitState:
-        return QubitState(self.theta, self.phi)
 
     def antipode(self) -> "Star":
         return Star(-self.x, -self.y, -self.z)
@@ -144,13 +155,18 @@ def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
     return MajoranaPolynomial(n, coeffs, n - first)
 
 
+def _chart(w) -> np.ndarray:
+    """Inverse stereographic chart of points w as unit vectors (..., 3); see plane_to_sphere."""
+    theta = 2.0 * np.arctan(np.abs(w))
+    phi = np.arctan2(w.imag, w.real)
+    s = np.sin(theta)
+    # not renormalized: Star normalizes once, so a star rebuilt from its JSON angles is the same vector
+    return _on_sphere(np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1))
+
+
 def plane_to_sphere(w: complex) -> Star:
     """Inverse stereographic chart: w=0 is the north pole, |w|=1 the equator."""
-    w = complex(w)
-    theta = 2.0 * math.atan(abs(w))
-    # atan2 instead of cmath.phase: the latter overflows on subnormals
-    phi = math.atan2(w.imag, w.real)
-    return Star.from_angles(theta, phi)
+    return Star(*_chart(complex(w)))
 
 
 def sphere_to_plane(s: Star) -> complex | None:
@@ -220,7 +236,7 @@ def _polynomial_roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> Star:
+def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.ndarray:
     """Newton-polish an m-fold root: it is a simple root of the (m-1)-th
     derivative, so the cluster centroid converges to machine precision.
 
@@ -248,14 +264,12 @@ def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> Sta
             break
     if inverted:
         if abs(x) < 1e-300:
-            return Star(0.0, 0.0, -1.0)
+            return np.array([0.0, 0.0, -1.0])
         x = 1.0 / x
-    return plane_to_sphere(x)
+    return _chart(x)
 
 
-def _collapse_degenerate_clusters(
-    state: SymmetricState, stars: list[Star], coeffs: np.ndarray
-) -> list[Star]:
+def _collapse_degenerate_clusters(state: SymmetricState, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Pin clusters of stars that represent one multiple root.
 
     An m-fold root scatters companion-matrix eigenvalues on a ring of
@@ -264,15 +278,14 @@ def _collapse_degenerate_clusters(
     root.  Every replacement is verified by reconstruction fidelity
     against the input state and reverted if it measurably changes it.
     """
-    n = len(stars)
+    n = len(v)
     if n < 2:
-        return stars
+        return v
     eps = float(np.finfo(float).eps)
-    arr = np.array([s.as_array() for s in stars])
-    dist = np.arccos(np.clip(arr @ arr.T, -1.0, 1.0))
+    dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
     np.fill_diagonal(dist, np.inf)
     frozen = np.zeros(n, dtype=bool)  # members of an accepted collapse
-    tried: set[frozenset] = set()
+    tried: set[bytes] = set()
     stages = [n] + list(range(min(n - 1, 12), 1, -1))
     for m in stages:
         tau = 12.0 * eps ** (1.0 / m)
@@ -287,31 +300,44 @@ def _collapse_degenerate_clusters(
             continue
         for i in np.nonzero(counts >= need)[0]:
             comp = np.sort(np.append(np.nonzero(within[i])[0], i))
-            signature = frozenset(int(j) for j in comp)
-            if signature in tried or frozen[comp].any():
+            if comp.tobytes() in tried or frozen[comp].any():
                 continue
-            tried.add(signature)
+            tried.add(comp.tobytes())
             sub = dist[np.ix_(comp, comp)]
             diameter = float(sub[np.isfinite(sub)].max())
             if diameter == 0.0 or diameter > tau:
                 continue  # coincident already, or not a tight ring
-            centroid = arr[comp].mean(axis=0)
+            centroid = v[comp].mean(axis=0)
             norm = float(np.linalg.norm(centroid))
             if norm < 1e-6:
                 continue
-            w0 = sphere_to_plane(Star(*(centroid / norm)))
-            target = _refine_multiple_root(coeffs, w0, len(comp))
-            trial = list(stars)
-            for j in comp:
-                trial[j] = target
-            candidate = _state_from_pairs([q.amplitudes for q in (s.as_qubit() for s in trial)])
-            if abs(np.vdot(candidate.d, state.d)) >= 1.0 - 1e-12:
-                stars = trial
+            trial = v.copy()
+            trial[comp] = _refine_multiple_root(coeffs, sphere_to_plane(Star(*(centroid / norm))), len(comp))
+            if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, state.d)) >= 1.0 - 1e-12:
+                v = trial
                 frozen[comp] = True
-                arr[comp] = target.as_array()
-                dist = np.arccos(np.clip(arr @ arr.T, -1.0, 1.0))
+                dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
                 np.fill_diagonal(dist, np.inf)
-    return stars
+    return v
+
+
+def _star_vectors(state: SymmetricState) -> np.ndarray:
+    """The n star unit vectors of a state, (n, 3), sorted by (theta, phi).
+
+    Includes pole multiplicities; raises DomainError when a root finds no
+    place on the sphere.
+    """
+    n = state.n
+    coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * state.d  # index k multiplies w^(n-k)
+    mags = np.abs(coeffs)
+    scale = float(mags.max())  # > 0: a SymmetricState is normalized
+    nonzero = np.nonzero(mags >= _STRIP_TOL * scale)[0]
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
+    if last > first:
+        roots = _chart(_polynomial_roots(coeffs[first : last + 1] / scale))
+        v = _collapse_degenerate_clusters(state, np.concatenate([v, roots]), coeffs / scale)
+    return v[np.lexsort(_angles(v)[::-1])]  # by theta, then phi
 
 
 def state_to_stars(state: SymmetricState) -> Constellation:
@@ -320,31 +346,12 @@ def state_to_stars(state: SymmetricState) -> Constellation:
     Returns exactly n stars including pole multiplicities, sorted by
     (theta, phi) so equal states give identical output.
     """
-    n = state.n
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    coeffs = signs * _sqrt_binom(n) * state.d  # index k multiplies w^(n-k)
-    mags = np.abs(coeffs)
-    scale = float(mags.max())
-    if scale == 0.0:
-        raise DomainError("zero state has no constellation")
-    keep = mags >= _STRIP_TOL * scale
-    nonzero = np.nonzero(keep)[0]
-    first, last = int(nonzero[0]), int(nonzero[-1])
-    south, north = first, n - last
-
-    stars: list[Star] = [Star(0.0, 0.0, -1.0)] * south + [Star(0.0, 0.0, 1.0)] * north
-    if last > first:
-        for w in _polynomial_roots(coeffs[first : last + 1] / scale):
-            stars.append(plane_to_sphere(w))
-        stars = _collapse_degenerate_clusters(state, stars, coeffs / scale)
-    stars.sort(key=lambda s: (s.theta, s.phi))
-    return Constellation(n, tuple(stars))
+    return Constellation(state.n, tuple(Star(*row) for row in _star_vectors(state).tolist()))
 
 
 def stars_to_state(c: Constellation) -> SymmetricState:
     """Vieta reconstruction: the unique state whose constellation is c."""
-    pairs = [q.amplitudes for q in (s.as_qubit() for s in c.stars)]
-    return _state_from_pairs(pairs)
+    return _state_from_pairs(_pairs(c.as_array()))
 
 
 def constellation_to_json(c: Constellation) -> str:
@@ -357,8 +364,8 @@ def constellation_to_json(c: Constellation) -> str:
 def constellation_from_json(text: str) -> Constellation:
     import json
 
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n = int(doc["n"])
         stars = tuple(Star.from_angles(float(e["theta"]), float(e["phi"])) for e in doc["stars"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -361,8 +361,8 @@ def state_to_json(state: SymmetricState) -> str:
 def state_from_json(text: str) -> SymmetricState:
     import json
 
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n = int(doc["n"])
         d = np.array([complex(re, im) for re, im in doc["dicke"]])
     except (KeyError, TypeError, ValueError) as exc:

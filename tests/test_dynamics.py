@@ -410,6 +410,18 @@ class TestProfilesAndSerialization:
         assert len(doc["V"]) == 4 and len(doc["W"]) == 4
         assert doc["offblock_norm"] <= 1e-10
 
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_phis_zero_on_the_axis(self, x):
+        traj = st.Trajectory(
+            betas=np.array([0.0]),
+            states=(st.dicke_state(2, 1),),
+            stars=np.array([[[x, 0.0, 1.0], [x, -0.0, -1.0]]]),
+            e_b=np.array([1.0]),
+            discontinuity=np.array([False]),
+        )
+        assert traj.phis.tolist() == [[0.0, 0.0]]
+        assert traj.thetas.tolist() == [[0.0, math.pi]]
+
     def test_phase_drift_invariance(self):
         # a global phase on the generator shifts nothing observable
         h = st.build_matrix(parse(XY_HALF))
@@ -419,3 +431,19 @@ class TestProfilesAndSerialization:
         assert np.abs(base.e_b - drift.e_b).max() <= 1e-12
         for a, b in zip(base.states, drift.states):
             assert st.fidelity(a, b) >= 1 - 1e-12
+
+
+class TestSymmetryDeficitNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejected(self, bad):
+        m = np.zeros((8, 8), dtype=complex)
+        m[0, 5] = bad
+        with pytest.raises(DomainError):
+            st.operator_symmetry_deficit(m, 3)
+
+    @pytest.mark.parametrize("index", [(0, 0), (3, 3), (7, 0)])
+    def test_rejected_in_unmoved_blocks(self, index):
+        m = np.eye(8, dtype=complex)
+        m[index] = np.nan
+        with pytest.raises(DomainError):
+            st.operator_symmetry_deficit(m, 3)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
+from stellar import stars
 from stellar.errors import DomainError
+from stellar.stars import _star_vectors
 
 RNG = np.random.default_rng(99)
 
@@ -81,6 +83,91 @@ class TestStateToStars:
         for _ in range(30):
             n = int(RNG.integers(1, 25))
             assert len(st.state_to_stars(haar_state(n, RNG)).stars) == n
+
+
+def _haar_from_seed(n: int, seed: int) -> st.SymmetricState:
+    return haar_state(n, np.random.default_rng(seed))
+
+
+def _cluster_state(m: int, n: int, th0: float, ph0: float, others: str) -> st.SymmetricState:
+    """An m-fold star at (th0, ph0) among pole stars or among its antipodes."""
+    if others == "poles":
+        rest = [st.QubitState(t) for t in np.repeat([0.0, math.pi], (n - m) // 2 + 1)[: n - m]]
+    else:
+        rest = [st.QubitState(math.pi - th0, ph0 + math.pi)] * (n - m)
+    return st.compose(st.coherent_state(m, st.QubitState(th0, ph0)), st.symmetrize(rest))
+
+
+class TestStarVectors:
+    """The array core agrees row for row with the public constellation."""
+
+    @staticmethod
+    def _assert_same(state):
+        v = _star_vectors(state)
+        assert v.shape == (state.n, 3)
+        assert np.abs(v - st.state_to_stars(state).as_array()).max() <= 1e-15
+
+    @given(hs.integers(1, 24), hs.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_haar(self, n, seed):
+        self._assert_same(_haar_from_seed(n, seed))
+
+    @given(hs.lists(hs.booleans(), min_size=1, max_size=16))
+    @settings(max_examples=40, deadline=None)
+    def test_bitstrings_sit_on_the_poles(self, bits):
+        state = st.symmetrize([st.QubitState(math.pi if b else 0.0) for b in bits])
+        self._assert_same(state)
+        z = _star_vectors(state)[:, 2]
+        assert sorted(z) == [-1.0] * sum(bits) + [1.0] * (len(bits) - sum(bits))
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
+    def test_coherent(self, n):
+        q = uniform_qubit(np.random.default_rng(n))
+        state = st.coherent_state(n, q)
+        self._assert_same(state)
+        anchor = st.Star.from_angles(q.theta, q.phi).as_array()
+        assert np.abs(_star_vectors(state) - anchor).max() <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(3, 8, 1.0, "poles"), (4, 12, 2.0, "poles"), (5, 10, 0.7, "antipode")])
+    @pytest.mark.parametrize("ph0", [0.3, 2.9, 5.1])
+    def test_clusters(self, shape, ph0):
+        m, n, th0, others = shape
+        state = _cluster_state(m, n, th0, ph0, others)
+        self._assert_same(state)
+        anchor = st.Star.from_angles(th0, ph0).as_array()
+        near = np.linalg.norm(_star_vectors(state) - anchor, axis=1) <= 1e-6
+        assert near.sum() == m
+
+    def test_sorted_by_theta_then_phi(self):
+        v = _star_vectors(_haar_from_seed(9, 3))
+        theta, phi = stars._angles(v)
+        assert np.all(np.diff(theta) >= 0.0)
+        assert np.all((np.diff(theta) > 0.0) | (np.diff(phi) >= 0.0))
+
+
+class TestNonFiniteRoots:
+    """A root the chart cannot place raises DomainError on every path."""
+
+    @pytest.fixture
+    def nan_roots(self, monkeypatch):
+        monkeypatch.setattr(stars, "_polynomial_roots", lambda c: np.full(len(c) - 1, complex(np.nan, 0.0)))
+
+    def test_state_to_stars(self, nan_roots):
+        with pytest.raises(DomainError):
+            st.state_to_stars(_haar_from_seed(4, 7))
+
+    def test_e_b(self, nan_roots):
+        with pytest.raises(DomainError):
+            st.e_b(_haar_from_seed(4, 7))
+
+    def test_e_g(self, nan_roots):
+        with pytest.raises(DomainError):
+            st.e_g(_haar_from_seed(4, 7), grid=(8, 16))
+
+    def test_evolve(self, nan_roots):
+        h = st.build_matrix(st.parse("sym(Z Z I)"))
+        with pytest.raises(DomainError):
+            st.evolve(h, _haar_from_seed(3, 7), [0.0, 0.1])
 
 
 class TestStarsToState:
@@ -167,6 +254,11 @@ class TestSerialization:
         c = st.state_to_stars(haar_state(5, RNG))
         back = st.constellation_from_json(st.constellation_to_json(c))
         assert match_constellations(c, back) <= 1e-15
+
+    @pytest.mark.parametrize("text", ["{", "", "[1, 2", '{"n": 1, "stars": [{"theta": 0.1}]}'])
+    def test_malformed_json_is_domain_error(self, text):
+        with pytest.raises(DomainError):
+            st.constellation_from_json(text)
 
     def test_csv_columns(self):
         c = st.state_to_stars(st.dicke_state(2, 1))

@@ -251,6 +251,11 @@ class TestStateJson:
         with pytest.raises(DomainError):
             st.state_from_json('{"n": 2}')
 
+    @pytest.mark.parametrize("text", ["{", "", "[1, 2", '{"n": 1, "dicke": [[1, 0], [0'])
+    def test_undecodable_is_domain_error(self, text):
+        with pytest.raises(DomainError):
+            st.state_from_json(text)
+
 
 class TestConstructorInvariants:
     def test_zero_state_rejected(self):
