@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DomainError, NumericError, SymmetryViolationError
 from .hamiltonians import HermitianOperator
 from .measures import _e_b
-from .stars import _angles, _star_vectors
-from .states import SymmetricState, _dicke_isometry, _format_float
+from .stars import _angles, _star_vectors_batch
+from .states import SymmetricState, _canonical, _dicke_isometry, _format_float, _pair_axes
 
 __all__ = [
     "TransitionBasis",
@@ -121,7 +121,7 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     deficit = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            side = (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
+            side = _pair_axes(n, i, j)
             t = m.reshape(side + side)
             worst = [
                 np.abs(t[:, a, :, b, :, :, c, :, d] - t[:, b, :, a, :, :, d, :, c]).max()
@@ -234,11 +234,13 @@ def evolve(
     """Propagate a symmetric state along exp(-i*beta*H) and follow its stars.
 
     H must commute with every qubit transposition; the evolution then runs
-    entirely in the (n+1)-dimensional symmetric block.  Star identities are
-    matched between consecutive grid points; whenever a matched star moves
-    more than ``max_step`` radians the interval is bisected, up to
-    ``max_depth`` times, after which the step is kept and flagged as a
-    discontinuity.
+    entirely in the (n+1)-dimensional symmetric block.  All grid frames are
+    computed together: one stack of block products, one pass of
+    normalization and phase fixing, and one batched star solve.  Star
+    identities are matched between consecutive grid points; whenever a
+    matched star moves more than ``max_step`` radians the interval is
+    bisected, each midpoint frame computed on its own, up to ``max_depth``
+    times, after which the step is kept and flagged as a discontinuity.
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise DomainError(f"max_step must be finite and positive, got {max_step}")
@@ -267,34 +269,40 @@ def evolve(
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     coeff0 = q.conj().T @ psi0.d
 
-    def state_at(beta: float) -> SymmetricState:
-        return SymmetricState(n, q @ (np.exp(-1j * beta * lam) * coeff0))
+    def frames(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical Dicke rows at the betas b and their stars."""
+        # a stack of matrix-vector products, not (...) @ q.T: it rounds each frame as q @ v does
+        d = _canonical((q @ (np.exp(-1j * b[:, None] * lam) * coeff0)[:, :, None])[:, :, 0])
+        d.flags.writeable = False
+        rows = max(1, 2**18 // n**2)  # per root solve, so its (rows, n, n) temporaries stay near 20 MB
+        return d, np.concatenate([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
 
+    grid_d, grid_stars = frames(grid)
     out_betas = [float(grid[0])]
-    out_states = [state_at(grid[0])]
-    out_stars = [_star_vectors(out_states[0])]
+    out_d = [grid_d[0]]
+    out_stars = [grid_stars[0]]
     out_flags = [False]
 
-    def advance(b0: float, stars0: np.ndarray, b1: float, depth: int):
-        state1 = state_at(b1)
-        matched, move = _match(stars0, _star_vectors(state1))
+    def advance(b0: float, stars0: np.ndarray, b1: float, d1: np.ndarray, stars1: np.ndarray, depth: int):
+        matched, move = _match(stars0, stars1)
         if move <= max_step or depth >= max_depth:
             out_betas.append(b1)
-            out_states.append(state1)
+            out_d.append(d1)
             out_stars.append(matched)
             out_flags.append(move > max_step)
             return
         mid = 0.5 * (b0 + b1)
-        advance(b0, stars0, mid, depth + 1)
-        advance(mid, out_stars[-1], b1, depth + 1)
+        mid_d, mid_stars = frames(np.array([mid]))
+        advance(b0, stars0, mid, mid_d[0], mid_stars[0], depth + 1)
+        advance(mid, out_stars[-1], b1, d1, stars1, depth + 1)
 
-    for b0, b1 in zip(grid[:-1], grid[1:]):
-        advance(float(b0), out_stars[-1], float(b1), 0)
+    for t in range(1, grid.size):
+        advance(float(grid[t - 1]), out_stars[-1], float(grid[t]), grid_d[t], grid_stars[t], 0)
 
     stars_arr = np.array(out_stars)
     return Trajectory(
         betas=np.array(out_betas),
-        states=tuple(out_states),
+        states=tuple(SymmetricState._from_canonical(d) for d in out_d),
         stars=stars_arr,
         e_b=_e_b(stars_arr),
         discontinuity=np.array(out_flags, dtype=bool),

@@ -302,7 +302,11 @@ def pretty(expr: HamiltonianExpr) -> str:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix on n qubits, qubit 0 = most significant bit."""
+    """Dense Hermitian matrix on n qubits, qubit 0 = most significant bit.
+
+    The stored matrix is a read-only copy, except that an array which owns
+    its data and is already read-only is kept as it is.
+    """
 
     n: int
     matrix: np.ndarray
@@ -311,12 +315,20 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (2**self.n, 2**self.n):
             raise DomainError(f"matrix shape {m.shape} does not match {self.n} qubits")
-        if not np.isfinite(m).all():
-            raise DomainError("matrix has non-finite entries")
-        deficit = float(np.abs(m - m.conj().T).max())
+        if m.flags.writeable or not m.flags.owndata:
+            m = m.copy()
+        # row panels against the matching column panels: the temporaries stay
+        # near 1 MiB, and the max over all entries is the same
+        dim = m.shape[0]
+        panel = max(1, 2**16 // dim)
+        deficit = 0.0
+        for r in range(0, dim, panel):
+            rows = m[r : r + panel]
+            if not np.isfinite(rows).all():
+                raise DomainError("matrix has non-finite entries")
+            deficit = max(deficit, float(np.abs(rows - m[:, r : r + panel].conj().T).max()))
         if deficit > 1e-12:
             raise DomainError(f"matrix is not Hermitian (deficit {deficit:.3e})")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -397,4 +409,5 @@ def build_matrix(expr: HamiltonianExpr) -> HermitianOperator:
             strings, weight = (term.factors,), 1.0
         for mask, values in _monomial_sums(strings, bits).items():
             total[rows, rows ^ mask] += term.coeff * (weight * values)
+    total.flags.writeable = False  # handed over to the operator without a copy
     return HermitianOperator(n, total)

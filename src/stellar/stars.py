@@ -55,7 +55,7 @@ def _angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta, phi) of star vectors (..., 3); phi is 0 on the z axis."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     phi = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x) % (2.0 * math.pi))
-    return np.arccos(np.clip(z, -1.0, 1.0)), phi
+    return np.arccos(np.minimum(np.maximum(z, -1.0), 1.0)), phi
 
 
 def _pairs(v: np.ndarray) -> np.ndarray:
@@ -145,12 +145,21 @@ class MajoranaPolynomial:
         return self.n - self.degree
 
 
+def _pole_strip(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) non-negligible coefficient of each row of |coefficients| (m, n+1).
+
+    The ``first`` vanishing leading coefficients are stars at the south
+    pole and the ``n - last`` vanishing trailing ones stars at the north.
+    """
+    keep = mags >= _STRIP_TOL * mags.max(axis=1, keepdims=True)
+    return keep.argmax(axis=1), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
+
+
 def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
     """Coefficients and effective degree of the state's star polynomial."""
     n = state.n
     coeffs = _sqrt_binom(n) * state.d
-    mags = np.abs(coeffs)
-    first = int(np.argmax(mags >= _STRIP_TOL * mags.max()))
+    first = int(_pole_strip(np.abs(coeffs)[None])[0][0])
     coeffs.flags.writeable = False
     return MajoranaPolynomial(n, coeffs, n - first)
 
@@ -183,29 +192,47 @@ def sphere_to_plane(s: Star) -> complex | None:
     return complex(s.x, s.y) / (1.0 + s.z)
 
 
-def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.ndarray:
-    """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of p.
+def _tiles(p: np.ndarray, r: int) -> np.ndarray:
+    """Coefficient rows p (m, k) as k tiles (m, r): tile j repeats row i's coefficient j."""
+    return np.repeat(p.T[:, :, None], r, axis=2)
 
-    Stops when every residual is at the round-off floor of polynomial
-    evaluation; roots whose update would not be finite are left at their
-    companion-matrix estimate.
+
+def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i's polynomial (coefficients in ``_tiles`` form) at the points x[i], in np.polyval's order.
+
+    Tiles of x's own shape make every step a same-shape operation.
     """
-    deg = len(p) - 1
-    dp = p[:-1] * np.arange(deg, 0, -1)
+    y = np.zeros_like(x)
+    for c in tiles:
+        y = y * x + c
+    return y
+
+
+def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.ndarray:
+    """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of each row of p.
+
+    A root stops moving when its residual is at the round-off floor of
+    polynomial evaluation; roots whose update would not be finite are left
+    at their companion-matrix estimate.  A row with no root left to move
+    is a fixed point of the step, so every row takes the steps it would
+    take alone.
+    """
+    m, deg = roots.shape
+    pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
     eps = np.finfo(float).eps
-    roots = roots.astype(np.complex128, copy=True)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            val = np.polyval(p, roots)
-            bound = np.polyval(np.abs(p), np.abs(roots))
-            done = np.abs(val) <= 64.0 * eps * bound + 1e-300
+            val = _horner(pt, roots)
+            done = np.abs(val) <= 64.0 * eps * _horner(at, np.abs(roots)) + 1e-300
             if done.all():
                 break
-            dval = np.polyval(dp, roots)
+            if dpt is None:
+                dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), deg)
+            dval = _horner(dpt, roots)
             newton = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = (1.0 / diff).sum(axis=1)
+            diff = roots[:, :, None] - roots[:, None, :]
+            diff.reshape(m, -1)[:, :: deg + 1] = np.inf
+            repulsion = (1.0 / diff).sum(axis=2)
             denom = 1.0 - newton * repulsion
             step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0.0, denom, 1.0), newton)
             ok = ~done & np.isfinite(step)
@@ -216,23 +243,26 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.n
 
 
 def _polynomial_roots(c: np.ndarray) -> np.ndarray:
-    """All roots of a polynomial (coefficients highest-degree first).
+    """All roots of each row of c (m, deg+1), coefficients highest degree first.
 
-    Both end coefficients must be non-negligible.  Companion-matrix
-    eigenvalues seed an Aberth-Ehrlich refinement; when the constant term
-    dominates the leading one the work is done on the reversed polynomial
-    so large roots are handled as small roots of the reverse.
+    Both end coefficients must be non-negligible.  Stacked companion-matrix
+    eigenvalues seed an Aberth-Ehrlich refinement; a row whose constant
+    term dominates its leading one is worked on reversed, so large roots
+    are handled as small roots of the reverse.
     """
-    if len(c) == 2:
-        return np.array([-c[1] / c[0]])
-    reverse = abs(c[-1]) > abs(c[0])
-    work = c[::-1].copy() if reverse else c.copy()
-    work /= np.abs(work).max()
-    roots = np.roots(work)
-    roots = _aberth_refine(work, roots)
-    if reverse:
-        roots = np.where(np.abs(roots) < 1e-300, 1e-300, roots)
-        roots = 1.0 / roots
+    m, deg = c.shape[0], c.shape[1] - 1
+    if deg == 1:
+        return -c[:, 1:] / c[:, :1]
+    reverse = np.abs(c[:, -1]) > np.abs(c[:, 0])
+    work = np.where(reverse[:, None], c[:, ::-1], c)
+    work /= np.abs(work).max(axis=1, keepdims=True)
+    companion = np.zeros((m, deg, deg), dtype=np.complex128)
+    companion[:, 0] = -work[:, 1:] / work[:, :1]
+    companion.reshape(m, -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
+    roots = _aberth_refine(work, np.linalg.eigvals(companion))
+    if reverse.any():
+        flipped = roots[reverse]
+        roots[reverse] = 1.0 / np.where(np.abs(flipped) < 1e-300, 1e-300, flipped)
     return roots
 
 
@@ -269,14 +299,14 @@ def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.
     return _chart(x)
 
 
-def _collapse_degenerate_clusters(state: SymmetricState, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Pin clusters of stars that represent one multiple root.
 
     An m-fold root scatters companion-matrix eigenvalues on a ring of
     radius ~eps**(1/m); whenever m stars sit within that resolution limit
     of each other they are replaced by m copies of the derivative-refined
     root.  Every replacement is verified by reconstruction fidelity
-    against the input state and reverted if it measurably changes it.
+    against the Dicke row d and reverted if it measurably changes it.
     """
     n = len(v)
     if n < 2:
@@ -286,18 +316,18 @@ def _collapse_degenerate_clusters(state: SymmetricState, v: np.ndarray, coeffs: 
     np.fill_diagonal(dist, np.inf)
     frozen = np.zeros(n, dtype=bool)  # members of an accepted collapse
     tried: set[bytes] = set()
+    # reach[k]: the smallest radius within which some star has k + 1 others
+    reach = np.sort(dist, axis=1).min(axis=0)
     stages = [n] + list(range(min(n - 1, 12), 1, -1))
     for m in stages:
         tau = 12.0 * eps ** (1.0 / m)
-        if float(dist.min()) > tau:
-            continue
         # a qualifying cluster has diameter <= tau, i.e. it is a clique in
         # the tau-graph, so some member sees all the others as neighbors
+        need = max(m, 2) - 1
+        if reach[need - 1] > tau:
+            continue
         within = dist <= tau
         counts = within.sum(axis=1)
-        need = max(m, 2) - 1
-        if counts.max() < need:
-            continue
         for i in np.nonzero(counts >= need)[0]:
             comp = np.sort(np.append(np.nonzero(within[i])[0], i))
             if comp.tobytes() in tried or frozen[comp].any():
@@ -313,31 +343,60 @@ def _collapse_degenerate_clusters(state: SymmetricState, v: np.ndarray, coeffs: 
                 continue
             trial = v.copy()
             trial[comp] = _refine_multiple_root(coeffs, sphere_to_plane(Star(*(centroid / norm))), len(comp))
-            if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, state.d)) >= 1.0 - 1e-12:
+            if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, d)) >= 1.0 - 1e-12:
                 v = trial
                 frozen[comp] = True
                 dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
                 np.fill_diagonal(dist, np.inf)
+                reach = np.sort(dist, axis=1).min(axis=0)
     return v
 
 
-def _star_vectors(state: SymmetricState) -> np.ndarray:
-    """The n star unit vectors of a state, (n, 3), sorted by (theta, phi).
+def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
+    """The stars of normalized Dicke rows d (m, n+1) as unit vectors (m, n, 3).
 
-    Includes pole multiplicities; raises DomainError when a root finds no
-    place on the sphere.
+    Each row's stars are sorted by (theta, phi) and include its pole
+    multiplicities, exactly as that row alone would give them: rows of one
+    effective degree share one stacked root solve, and only rows whose
+    closest pair is within twice the widest collapse threshold go to the
+    cluster collapse.  Raises DomainError when a root finds no place on the
+    sphere.
     """
-    n = state.n
-    coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * state.d  # index k multiplies w^(n-k)
+    m, n = d.shape[0], d.shape[1] - 1
+    coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * d  # index k multiplies w^(n-k)
     mags = np.abs(coeffs)
-    scale = float(mags.max())  # > 0: a SymmetricState is normalized
-    nonzero = np.nonzero(mags >= _STRIP_TOL * scale)[0]
-    first, last = int(nonzero[0]), int(nonzero[-1])
-    v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
-    if last > first:
-        roots = _chart(_polynomial_roots(coeffs[first : last + 1] / scale))
-        v = _collapse_degenerate_clusters(state, np.concatenate([v, roots]), coeffs / scale)
-    return v[np.lexsort(_angles(v)[::-1])]  # by theta, then phi
+    scale = mags.max(axis=1)  # > 0 for normalized rows
+    first, last = _pole_strip(mags)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(zip(first.tolist(), last.tolist())):
+        groups.setdefault(key, []).append(i)
+    # per row: `first` south poles, then `n - last` north poles (w = 0), then the roots
+    w = np.zeros((m, n), dtype=np.complex128)
+    for (f, l), members in groups.items():
+        if l > f:
+            rows = slice(None) if len(groups) == 1 else members
+            w[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows, None])
+    rows = np.flatnonzero(last > first)
+    v = _chart(w) if rows.size else np.zeros((m, n, 3)) + (0.0, 0.0, 1.0)
+    south = np.arange(n) < first[:, None]
+    if south.any():
+        v[south] = (0.0, 0.0, -1.0)
+    tau = 12.0 * float(np.finfo(float).eps) ** (1.0 / n)  # of the widest collapse stage, m = n
+    if rows.size and 2.0 * tau < math.pi:
+        # keep the rows whose closest pair lies within 2 tau; twice, so that
+        # no rounding of the Gram matrix can drop a row a stage would act on
+        gram = v[rows] @ v[rows].swapaxes(1, 2)
+        gram.reshape(rows.size, n * n)[:, :: n + 1] = -1.0
+        rows = rows[gram.max(axis=(1, 2)) >= math.cos(2.0 * tau)]
+    for i in rows.tolist():
+        v[i] = _collapse_degenerate_clusters(d[i], v[i], coeffs[i] / scale[i])
+    order = np.lexsort(_angles(v)[::-1], axis=-1)  # by theta, then phi
+    return v[np.arange(m)[:, None], order]
+
+
+def _star_vectors(state: SymmetricState) -> np.ndarray:
+    """The n star unit vectors of a state, (n, 3), sorted by (theta, phi); see _star_vectors_batch."""
+    return _star_vectors_batch(state.d[None])[0]
 
 
 def state_to_stars(state: SymmetricState) -> Constellation:

@@ -18,9 +18,10 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +53,12 @@ _PHASE_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
+@functools.lru_cache(maxsize=128)
 def _sqrt_binom(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n."""
-    return np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
+    """sqrt(C(n, k)) for k = 0..n, read-only: every caller shares one array."""
+    c = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
+    c.flags.writeable = False
+    return c
 
 
 def _format_float(x: float) -> str:
@@ -119,19 +123,41 @@ class SymmetricState:
         d = np.array(self.d, dtype=np.complex128).reshape(-1)
         if d.shape[0] != n + 1:
             raise DomainError(f"expected {n + 1} Dicke coefficients, got {d.shape[0]}")
-        if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
-            raise DomainError("non-finite Dicke coefficient")
-        norm = float(np.linalg.norm(d))
-        if norm < 1e-150:
-            raise DomainError("zero state has no Dicke representation")
-        d = d / norm
-        mags = np.abs(d)
-        k = int(np.argmax(mags >= _PHASE_TOL * mags.max()))
-        d = d * cmath.exp(-1j * cmath.phase(d[k]))
-        d[k] = abs(d[k])
+        d = _canonical(d[None])[0]
         d.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _from_canonical(cls, d: np.ndarray) -> "SymmetricState":
+        """A state from a read-only row that ``_canonical`` produced, not checked again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", d.shape[0] - 1)
+        object.__setattr__(state, "d", d)
+        return state
+
+
+def _canonical(d: np.ndarray) -> np.ndarray:
+    """Dicke rows (m, n+1) normalized, each first non-negligible coefficient real positive.
+
+    The one home of the global-phase convention; raises DomainError for a
+    non-finite or zero row.
+    """
+    if not np.isfinite(d).all():
+        raise DomainError("non-finite Dicke coefficient")
+    re, im = d.real[:, None, :], d.imag[:, None, :]
+    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]  # as np.linalg.norm of a row
+    if norm.min() < 1e-150:
+        raise DomainError("zero state has no Dicke representation")
+    d = d / norm
+    mags = np.abs(d)
+    rows = np.arange(d.shape[0])
+    k = np.argmax(mags >= _PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
+    pivot = d[rows, k]
+    turn = np.array([cmath.exp(-1j * cmath.phase(z)) for z in pivot.tolist()])
+    d *= turn[:, None]
+    d[rows, k] = np.abs(pivot * turn)
+    return d
 
 
 @dataclass(frozen=True)
@@ -311,23 +337,23 @@ def project_sym(full: FullState, tol: float = 1e-8) -> SymmetricState:
     return SymmetricState(n, d)
 
 
-def _transposition_index_maps(n: int) -> Iterable[np.ndarray]:
-    """Index permutations of the amplitude array for every qubit transposition."""
-    idx = np.arange(2**n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi = (idx >> (n - 1 - i)) & 1
-            bj = (idx >> (n - 1 - j)) & 1
-            differ = bi ^ bj
-            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-            yield idx ^ (differ * mask)
+def _pair_axes(n: int, i: int, j: int) -> tuple[int, int, int, int, int]:
+    """Shape that splits a 2**n index so the bits of qubits i < j are axes 1 and 3."""
+    return (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
 
 
 def is_permutation_symmetric(full: FullState, tol: float = 1e-10) -> SymmetryReport:
-    """Check invariance of the amplitudes under all qubit transpositions."""
+    """Check invariance of the amplitudes under all qubit transpositions.
+
+    A transposition moves only the amplitudes whose two bits differ, so each
+    one compares the strided sub-blocks with bits (0, 1) and (1, 0).
+    """
+    n = full.n
     deficit = 0.0
-    for perm in _transposition_index_maps(full.n):
-        deficit = max(deficit, float(np.abs(full.amps[perm] - full.amps).max()))
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = full.amps.reshape(_pair_axes(n, i, j))
+            deficit = max(deficit, float(np.abs(t[:, 0, :, 1] - t[:, 1, :, 0]).max()))
     return SymmetryReport(deficit <= tol, deficit)
 
 

@@ -27,3 +27,19 @@ def match_constellations(a: st.Constellation, b: st.Constellation) -> float:
     cost = np.arccos(np.clip(va @ vb.T, -1.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def transposition_index_maps(n: int):
+    """Index permutations of a 2**n amplitude array, one per qubit transposition.
+
+    The original gathered form of the transposition check, kept as a
+    reference for the strided views the package uses.
+    """
+    idx = np.arange(2**n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi = (idx >> (n - 1 - i)) & 1
+            bj = (idx >> (n - 1 - j)) & 1
+            differ = bi ^ bj
+            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+            yield idx ^ (differ * mask)

@@ -259,6 +259,35 @@ class TestEvolve:
         assert traj.betas.size == 4  # no midpoints were allowed
 
 
+class TestBatchedFrames:
+    """evolve computes its grid frames in one batch; each frame is what a single call gives."""
+
+    def test_states_are_canonical(self):
+        h = random_invariant_hamiltonian(np.random.default_rng(31), 4)
+        traj = st.evolve(h, haar_state(4, np.random.default_rng(32)), np.linspace(0.0, 2.0, 41))
+        for state in traj.states:
+            assert np.abs(state.d - st.SymmetricState(4, state.d).d).max() <= 1e-15
+            assert abs(np.linalg.norm(state.d) - 1.0) <= 1e-15
+            mags = np.abs(state.d)
+            pivot = state.d[np.argmax(mags >= 1e-12 * mags.max())]
+            assert pivot.imag == 0.0 and pivot.real > 0.0
+            assert not state.d.flags.writeable
+
+    def test_deep_bisection_frames_match_single_calls(self):
+        h = st.build_matrix(parse(XY_HALF))
+        psi0 = st.dicke_state(2, 0)
+        grid = np.linspace(0.0, 1.4, 4)
+        traj = st.evolve(h, psi0, grid, max_step=0.01)
+        assert traj.betas.size > 40 * grid.size
+        assert set(grid.tolist()) <= set(traj.betas.tolist())
+        for beta, state, stars in zip(traj.betas, traj.states, traj.stars):
+            single = st.evolve(h, psi0, [beta])
+            assert np.abs(state.d - single.states[0].d).max() <= 1e-15
+            cost = np.arccos(np.clip(stars @ single.stars[0].T, -1.0, 1.0))
+            assert cost.min(axis=1).max() <= 1e-7  # the same multiset, up to arccos resolution
+            assert np.abs(np.sort(stars, axis=0) - np.sort(single.stars[0], axis=0)).max() <= 1e-12
+
+
 class TestMatch:
     def test_reaches_brute_force_optimum(self):
         import itertools

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import transposition_index_maps
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -20,7 +21,6 @@ from stellar.hamiltonians import (
     parse,
     pretty,
 )
-from stellar.states import _transposition_index_maps
 
 X, Y, Z, I2 = FACTORS["X"], FACTORS["Y"], FACTORS["Z"], FACTORS["I"]
 
@@ -156,6 +156,42 @@ class TestBuildMatrix:
             with pytest.raises(DomainError):
                 HermitianOperator(2, m)
 
+    def test_hermiticity_deficit_over_panels(self):
+        # n = 9 checks four row panels; the deficit is that of the whole matrix
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+        m = a + a.conj().T
+        m[500, 3] += 3e-12
+        want = float(np.abs(m - m.conj().T).max())
+        with pytest.raises(DomainError, match=f"{want:.3e}"):
+            HermitianOperator(9, m)
+        m[500, 3] = np.nan  # in the last panel: it wins over the deficit seen in the first
+        m[0, 1] += 1.0
+        with pytest.raises(DomainError, match="non-finite"):
+            HermitianOperator(9, m)
+
+    def test_input_copied_and_built_matrix_adopted(self):
+        m = np.eye(4, dtype=complex)
+        op = HermitianOperator(2, m)
+        m[0, 0] = 7.0
+        assert op.matrix[0, 0] == 1.0 and not op.matrix.flags.writeable
+        built = st.build_matrix(parse("sym(X Z)"))
+        assert not built.matrix.flags.writeable and built.matrix.flags.owndata
+        assert HermitianOperator(2, built.matrix).matrix is built.matrix
+
+    def test_build_matrix_peak_memory(self):
+        import tracemalloc
+
+        expr = parse("sym(Z Z" + " I" * 8 + ") + 0.5*sym(X" + " I" * 9 + ")")
+        tracemalloc.start()
+        try:
+            h = st.build_matrix(expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.matrix.nbytes == 16 * 4**10
+        assert peak <= h.matrix.nbytes + 4 * 2**20  # the matrix plus panel-sized temporaries
+
     def test_projector_factors(self):
         h = st.build_matrix(parse("P0 x P1 + P1 x P0")).matrix
         assert np.allclose(h, np.diag([0.0, 1.0, 1.0, 0.0]))
@@ -219,7 +255,7 @@ def _reference_build(expr):
 def _reference_deficit(matrix, n):
     """The original symmetry check: a gathered copy per transposition."""
     deficit = 0.0
-    for perm in _transposition_index_maps(n):
+    for perm in transposition_index_maps(n):
         deficit = max(deficit, float(np.abs(matrix[np.ix_(perm, perm)] - matrix).max()))
     return deficit
 

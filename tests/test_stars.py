@@ -9,7 +9,8 @@ from hypothesis import strategies as hs
 import stellar as st
 from stellar import stars
 from stellar.errors import DomainError
-from stellar.stars import _star_vectors
+from stellar.stars import _star_vectors, _star_vectors_batch
+from stellar.states import _sqrt_binom
 
 RNG = np.random.default_rng(99)
 
@@ -98,6 +99,63 @@ def _cluster_state(m: int, n: int, th0: float, ph0: float, others: str) -> st.Sy
     return st.compose(st.coherent_state(m, st.QubitState(th0, ph0)), st.symmetrize(rest))
 
 
+# The serial star core as it was before the batch core, kept as a reference:
+# one state at a time through np.roots and np.polyval.
+
+
+def _serial_aberth(p, roots, max_iter=30):
+    deg = len(p) - 1
+    dp = p[:-1] * np.arange(deg, 0, -1)
+    eps = np.finfo(float).eps
+    roots = roots.astype(np.complex128, copy=True)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            val = np.polyval(p, roots)
+            bound = np.polyval(np.abs(p), np.abs(roots))
+            done = np.abs(val) <= 64.0 * eps * bound + 1e-300
+            if done.all():
+                break
+            dval = np.polyval(dp, roots)
+            newton = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
+            diff = roots[:, None] - roots[None, :]
+            np.fill_diagonal(diff, np.inf)
+            repulsion = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - newton * repulsion
+            step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0.0, denom, 1.0), newton)
+            ok = ~done & np.isfinite(step)
+            if not ok.any():
+                break
+            roots = np.where(ok, roots - step, roots)
+    return roots
+
+
+def _serial_roots(c):
+    if len(c) == 2:
+        return np.array([-c[1] / c[0]])
+    reverse = abs(c[-1]) > abs(c[0])
+    work = c[::-1].copy() if reverse else c.copy()
+    work /= np.abs(work).max()
+    roots = _serial_aberth(work, np.roots(work))
+    if reverse:
+        roots = np.where(np.abs(roots) < 1e-300, 1e-300, roots)
+        roots = 1.0 / roots
+    return roots
+
+
+def _serial_star_vectors(state):
+    n = state.n
+    coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * state.d
+    mags = np.abs(coeffs)
+    scale = float(mags.max())
+    nonzero = np.nonzero(mags >= stars._STRIP_TOL * scale)[0]
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
+    if last > first:
+        roots = stars._chart(_serial_roots(coeffs[first : last + 1] / scale))
+        v = stars._collapse_degenerate_clusters(state.d, np.concatenate([v, roots]), coeffs / scale)
+    return v[np.lexsort(stars._angles(v)[::-1])]
+
+
 class TestStarVectors:
     """The array core agrees row for row with the public constellation."""
 
@@ -145,12 +203,60 @@ class TestStarVectors:
         assert np.all((np.diff(theta) > 0.0) | (np.diff(phi) >= 0.0))
 
 
+class TestStarVectorsBatch:
+    """The batch core agrees row by row with the serial reference above."""
+
+    @staticmethod
+    def _assert_rows(states):
+        out = _star_vectors_batch(np.array([s.d for s in states]))
+        assert out.shape == (len(states), states[0].n, 3)
+        for s, row in zip(states, out):
+            assert np.abs(row - _serial_star_vectors(s)).max() <= 1e-15
+
+    @given(hs.integers(1, 24), hs.lists(hs.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_haar(self, n, seeds):
+        self._assert_rows([_haar_from_seed(n, seed) for seed in seeds])
+
+    @given(hs.integers(1, 16), hs.lists(hs.integers(0, 2**16 - 1), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_bitstrings(self, n, masks):
+        self._assert_rows(
+            [st.symmetrize([st.QubitState(math.pi if mask >> q & 1 else 0.0) for q in range(n)]) for mask in masks]
+        )
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
+    def test_coherent(self, n):
+        rng = np.random.default_rng(n)
+        self._assert_rows([st.coherent_state(n, uniform_qubit(rng)) for _ in range(4)])
+
+    @pytest.mark.parametrize("shape", [(3, 8, 1.0, "poles"), (4, 12, 2.0, "poles"), (5, 10, 0.7, "antipode")])
+    def test_clusters(self, shape):
+        m, n, th0, others = shape
+        self._assert_rows([_cluster_state(m, n, th0, ph0, others) for ph0 in (0.3, 2.9, 5.1)])
+
+    def test_mixed_pole_counts(self):
+        # every (first, last) strip of a degree-7 row, with Haar rows between them
+        rng = np.random.default_rng(17)
+        states = []
+        for first in range(8):
+            for last in range(first, 8):
+                d = np.zeros(8, dtype=complex)
+                d[first : last + 1] = rng.normal(size=last + 1 - first) + 1j * rng.normal(size=last + 1 - first)
+                states += [st.SymmetricState(7, d), haar_state(7, rng)]
+        self._assert_rows(states)
+        firsts = {int(np.sum(_serial_star_vectors(s)[:, 2] == -1.0)) for s in states}
+        assert firsts == set(range(8))
+
+
 class TestNonFiniteRoots:
     """A root the chart cannot place raises DomainError on every path."""
 
     @pytest.fixture
     def nan_roots(self, monkeypatch):
-        monkeypatch.setattr(stars, "_polynomial_roots", lambda c: np.full(len(c) - 1, complex(np.nan, 0.0)))
+        monkeypatch.setattr(
+            stars, "_polynomial_roots", lambda c: np.full((c.shape[0], c.shape[1] - 1), complex(np.nan, 0.0))
+        )
 
     def test_state_to_stars(self, nan_roots):
         with pytest.raises(DomainError):
@@ -168,6 +274,20 @@ class TestNonFiniteRoots:
         h = st.build_matrix(st.parse("sym(Z Z I)"))
         with pytest.raises(DomainError):
             st.evolve(h, _haar_from_seed(3, 7), [0.0, 0.1])
+
+    def test_one_nan_row_fails_the_batch(self, monkeypatch):
+        rows = np.array([_haar_from_seed(4, seed).d for seed in range(5)])
+        assert _star_vectors_batch(rows).shape == (5, 4, 3)
+        solve = stars._polynomial_roots
+
+        def last_row_nan(c):
+            roots = solve(c)
+            roots[-1, 0] = complex(np.nan, 0.0)
+            return roots
+
+        monkeypatch.setattr(stars, "_polynomial_roots", last_row_nan)
+        with pytest.raises(DomainError):
+            _star_vectors_batch(rows)
 
 
 class TestStarsToState:

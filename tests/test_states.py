@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_state, uniform_qubit
+from conftest import haar_state, transposition_index_maps, uniform_qubit
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -214,6 +214,19 @@ class TestEmbedProject:
         for n in (2, 4, 6):
             s = haar_state(n, RNG)
             assert st.is_permutation_symmetric(st.embed_full(s)).symmetric
+
+    @given(hs.integers(1, 8), hs.integers(0, 2**32 - 1), hs.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_deficit_matches_gathered_transpositions(self, n, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        if symmetric:
+            full = st.embed_full(haar_state(n, rng))
+        else:
+            full = st.FullState(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        want = 0.0
+        for perm in transposition_index_maps(n):
+            want = max(want, float(np.abs(full.amps[perm] - full.amps).max()))
+        assert st.is_permutation_symmetric(full) == (want <= 1e-10, want)
 
 
 class TestLabels:
