@@ -79,6 +79,7 @@ from .states import (
     state_to_json,
     symmetrization_constant,
     symmetrize,
+    tetrahedron_state,
 )
 
 __version__ = "0.1.0"

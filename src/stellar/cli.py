@@ -53,9 +53,6 @@ def parse_angle(text: str) -> float:
         raise DomainError(f"cannot parse angle {text!r}") from None
 
 
-_TETRA_THETA = math.acos(1.0 / math.sqrt(3.0))
-
-
 def build_state(spec: str) -> states.SymmetricState:
     """State mini-language shared by every subcommand.
 
@@ -77,9 +74,9 @@ def build_state(spec: str) -> states.SymmetricState:
         if head == "bell" and len(parts) == 2:
             return states.bell_state(parts[1])
         if head == "tetra" and len(parts) == 1:
-            return measures.rec_family_state(_TETRA_THETA, math.pi / 2.0)
+            return states.tetrahedron_state()
         if head == "rec4" and len(parts) == 3:
-            return measures.rec_family_state(parse_angle(parts[1]), parse_angle(parts[2]))
+            return states.rec_family_state(parse_angle(parts[1]), parse_angle(parts[2]))
         if head == "coherent" and len(parts) == 4:
             return states.coherent_state(
                 int(parts[1]), states.QubitState(parse_angle(parts[2]), parse_angle(parts[3]))
@@ -230,7 +227,7 @@ def _sweep_rows(args):
         rows, cols = _parse_grid(args.grid)
         for th in np.linspace(0.0, math.pi / 2.0, rows):
             for ph in np.linspace(0.0, math.pi, cols):
-                yield th, ph, measures.rec_family_state(th, ph)
+                yield th, ph, states.rec_family_state(th, ph)
     elif args.family == "twoqubit":
         count, _ = _parse_grid(args.grid, line=True)
         for th in np.linspace(0.0, math.pi, count):

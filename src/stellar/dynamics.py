@@ -17,11 +17,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SymmetryViolationError
-from .hamiltonians import HermitianOperator
+from .errors import DomainError, NumericError, ResourceError, SymmetryViolationError
+from .hamiltonians import MAX_MATRIX_BYTES, HermitianOperator
 from .measures import _e_b
 from .stars import _angles, _star_vectors_batch
-from .states import SymmetricState, _canonical, _dicke_isometry, _format_float, _pair_axes
+from .states import (
+    _MOVED_BLOCKS,
+    SymmetricState,
+    _canonical,
+    _dicke_isometry,
+    _exactly_symmetric,
+    _format_float,
+    _pair_axes,
+)
 
 __all__ = [
     "TransitionBasis",
@@ -102,22 +110,22 @@ class VelocityProfile:
     flags: np.ndarray
 
 
-# one of each pair of sub-blocks (row bit i, row bit j, column bit i, column
-# bit j) that the transposition of qubits i and j swaps; the pair of
-# (a, b, c, d) is (b, a, d, c), and the four blocks with a == b, c == d stay
-_MOVED_BLOCKS = [k for k in np.ndindex(2, 2, 2, 2) if k < (k[1], k[0], k[3], k[2])]
-
-
 def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     """Largest entrywise violation of [H, P] = 0 over all transpositions P.
 
-    Each transposition is checked on a tensor view of the matrix with the
-    row and column bits of its two qubits as axes, by comparing the six
-    pairs of sub-blocks it swaps as strided views.
+    A matrix that the generators (0 1) and the n-cycle leave exactly equal,
+    as ``build_matrix`` gives for every ``sym(...)`` expression, commutes
+    with every permutation and returns 0.0 after two comparisons.
+    Otherwise each transposition is checked on a tensor view of the matrix
+    with the row and column bits of its two qubits as axes, by comparing
+    the six pairs of sub-blocks it swaps as strided views.  Both paths give
+    the same deficit bit for bit.
     """
     m = np.ascontiguousarray(matrix)
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
+    if _exactly_symmetric(m, n):
+        return 0.0
     deficit = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -144,10 +152,19 @@ def _as_matrix(h: HermitianOperator | np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def build_transition(n: int) -> TransitionBasis:
-    """Dicke-adapted orthonormal basis of the full n-qubit space."""
+    """Dicke-adapted orthonormal basis of the full n-qubit space.
+
+    The basis is a dense 2**n x 2**n matrix, refused with ResourceError
+    above MAX_MATRIX_BYTES (16 * 4**n bytes) before anything is allocated.
+    """
     n = int(n)
-    if not 1 <= n <= 14:
-        raise DomainError(f"transition basis supports 1..14 qubits, got {n}")
+    if n < 1:
+        raise DomainError(f"a transition basis needs at least one qubit, got {n}")
+    need = 16 * 4**n
+    if need > MAX_MATRIX_BYTES:
+        raise ResourceError(
+            f"a {n}-qubit transition basis needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
+        )
     iso = _dicke_isometry(n)
     t = np.zeros((2**n, 2**n), dtype=np.complex128)
     t[:, : n + 1] = iso

@@ -11,14 +11,13 @@ cells and from every star position.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .stars import Constellation, Star, _angles, _star_vectors
-from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
+from .states import QubitState, SymmetricState, _sqrt_binom, rec_family_state, symmetrize
 
 __all__ = [
     "Barycenter",
@@ -373,37 +372,6 @@ def e_g_dicke(n: int, k: int) -> GeometricResult:
         - math.log2(math.comb(n, k))
     )
     return GeometricResult(value, QubitState(theta, 0.0), 2.0 ** (-value))
-
-
-def rec_family_state(theta: float, phi: float) -> SymmetricState:
-    """Four-qubit family with barycenter pinned at the ball center.
-
-    The stars are an inscribed rectangle: a pair at polar angle theta with
-    azimuths phi and phi+pi, and a pair at pi-theta with azimuths 0 and pi.
-    theta in [0, pi/2], phi in [0, pi].
-    """
-    if not -1e-12 <= theta <= math.pi / 2 + 1e-12:
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
-    if not -1e-12 <= phi <= math.pi + 1e-12:
-        raise DomainError(f"phi must lie in [0, pi], got {phi}")
-    theta = min(max(theta, 0.0), math.pi / 2)
-    phi = min(max(phi, 0.0), math.pi)
-    state = symmetrize(
-        [
-            QubitState(theta, phi),
-            QubitState(theta, phi + math.pi),
-            QubitState(math.pi - theta, 0.0),
-            QubitState(math.pi - theta, math.pi),
-        ]
-    )
-    # only the k = 0, 2, 4 Dicke components should survive
-    stray = max(abs(state.d[1]), abs(state.d[3]))
-    if stray > 1e-12:
-        warnings.warn(
-            f"rectangle-family state has unexpected odd-weight amplitude {stray:.3e}",
-            stacklevel=2,
-        )
-    return state
 
 
 def rotate_state(state: SymmetricState, axis: Star, angle: float) -> SymmetricState:

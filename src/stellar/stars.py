@@ -52,10 +52,12 @@ def _on_sphere(v: np.ndarray) -> np.ndarray:
 
 
 def _angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) of star vectors (..., 3); phi is 0 on the z axis."""
+    """(theta, phi) of star vectors (..., 3); phi lies in [0, 2*pi) and is 0 on the z axis."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    phi = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x) % (2.0 * math.pi))
-    return np.arccos(np.minimum(np.maximum(z, -1.0), 1.0)), phi
+    # + 0.0 turns -0.0 into 0.0, so arctan2 gives 0 on the z axis whatever the signs
+    # of the zeros; the remainder rounds to 2*pi for a tiny negative y, folded to 0
+    phi = np.arctan2(y + 0.0, x + 0.0) % (2.0 * math.pi)
+    return np.arccos(np.minimum(np.maximum(z, -1.0), 1.0)), np.where(phi == 2.0 * math.pi, 0.0, phi)
 
 
 def _pairs(v: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A permutation-symmetric pure state of ``n`` qubits is stored as its ``n+1``
 Dicke coefficients.  This module covers construction (Dicke states,
-spin-coherent states, GHZ and Bell states, symmetrized products of
-arbitrary single-qubit states), the Dicke isometry into the full ``2**n``
-amplitude space with its embedding and inverse projection, and the
-permutation-symmetry check.
+spin-coherent states, GHZ and Bell states, the four-qubit rectangle family
+and its tetrahedron, symmetrized products of arbitrary single-qubit
+states), the Dicke isometry into the full ``2**n`` amplitude space with
+its embedding and inverse projection, and the permutation-symmetry check.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,6 +38,8 @@ __all__ = [
     "ghz_state",
     "bell_state",
     "symmetrize",
+    "rec_family_state",
+    "tetrahedron_state",
     "symmetrization_constant",
     "embed_full",
     "project_sym",
@@ -306,6 +309,46 @@ def symmetrization_constant(parts: Sequence[QubitState]) -> float:
     return k
 
 
+def rec_family_state(theta: float, phi: float) -> SymmetricState:
+    """Four-qubit family with barycenter pinned at the ball center.
+
+    The stars are an inscribed rectangle: a pair at polar angle theta with
+    azimuths phi and phi+pi, and a pair at pi-theta with azimuths 0 and pi.
+    theta in [0, pi/2], phi in [0, pi].
+    """
+    if not -1e-12 <= theta <= math.pi / 2 + 1e-12:
+        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
+    if not -1e-12 <= phi <= math.pi + 1e-12:
+        raise DomainError(f"phi must lie in [0, pi], got {phi}")
+    theta = min(max(theta, 0.0), math.pi / 2)
+    phi = min(max(phi, 0.0), math.pi)
+    state = symmetrize(
+        [
+            QubitState(theta, phi),
+            QubitState(theta, phi + math.pi),
+            QubitState(math.pi - theta, 0.0),
+            QubitState(math.pi - theta, math.pi),
+        ]
+    )
+    # only the k = 0, 2, 4 Dicke components should survive
+    stray = max(abs(state.d[1]), abs(state.d[3]))
+    if stray > 1e-12:
+        warnings.warn(
+            f"rectangle-family state has unexpected odd-weight amplitude {stray:.3e}",
+            stacklevel=2,
+        )
+    return state
+
+
+def tetrahedron_state() -> SymmetricState:
+    """The four-qubit state whose stars are a regular tetrahedron.
+
+    The member of the rectangle family with cos(theta) = 1/sqrt(3) and
+    phi = pi/2, so its four stars are pairwise equidistant.
+    """
+    return rec_family_state(math.acos(1.0 / math.sqrt(3.0)), math.pi / 2.0)
+
+
 def _dicke_isometry(n: int) -> np.ndarray:
     """The 2**n x (n+1) isometry whose column k is the Dicke state |n, k>.
 
@@ -342,13 +385,51 @@ def _pair_axes(n: int, i: int, j: int) -> tuple[int, int, int, int, int]:
     return (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
 
 
+# one of each pair of sub-blocks (row bit i, row bit j, column bit i, column
+# bit j) that the transposition of qubits i and j swaps in a matrix; the pair
+# of (a, b, c, d) is (b, a, d, c), and the four blocks with a == b, c == d stay
+_MOVED_BLOCKS = [k for k in np.ndindex(2, 2, 2, 2) if k < (k[1], k[0], k[3], k[2])]
+
+
+def _exactly_symmetric(arr: np.ndarray, n: int) -> bool:
+    """Whether every qubit permutation leaves the finite array ``arr`` exactly equal.
+
+    ``arr`` is a 2**n vector, or a 2**n x 2**n matrix permuted on rows and
+    columns together.  The transposition (0 1) and the cycle of all n qubits
+    generate every permutation, and == is transitive on finite floats, so
+    the two generators decide it: each transposition then moves every entry
+    onto an equal one, and its deficit is exactly 0.0.
+    """
+    if n < 2:
+        return True
+    half = 1 << (n - 1)
+    side = _pair_axes(n, 0, 1)
+    if arr.ndim == 1:
+        t = arr.reshape(side)
+        swapped = [(t[:, 0, :, 1], t[:, 1, :, 0])]
+        cycled = (arr.reshape(2, half), arr.reshape(half, 2).T)
+    else:
+        t = arr.reshape(side + side)
+        swapped = [
+            (t[:, a, :, b, :, :, c, :, d], t[:, b, :, a, :, :, d, :, c]) for a, b, c, d in _MOVED_BLOCKS
+        ]
+        cycled = (arr.reshape(2, half, 2, half), arr.reshape(half, 2, half, 2).transpose(1, 0, 3, 2))
+    # the cycle moves qubit 0's bit to the lowest place; for n = 2 it is (0 1)
+    return all(np.array_equal(x, y) for x, y in swapped) and (n == 2 or np.array_equal(*cycled))
+
+
 def is_permutation_symmetric(full: FullState, tol: float = 1e-10) -> SymmetryReport:
     """Check invariance of the amplitudes under all qubit transpositions.
 
-    A transposition moves only the amplitudes whose two bits differ, so each
-    one compares the strided sub-blocks with bits (0, 1) and (1, 0).
+    Exactly symmetric amplitudes, the common case, are recognised from the
+    two generators (0 1) and the n-cycle and report deficit 0.0.  Otherwise
+    every transposition is measured: it moves only the amplitudes whose two
+    bits differ, so each one compares the strided sub-blocks with bits
+    (0, 1) and (1, 0).  Both paths give the same deficit bit for bit.
     """
     n = full.n
+    if _exactly_symmetric(full.amps, n):
+        return SymmetryReport(0.0 <= tol, 0.0)
     deficit = 0.0
     for i in range(n):
         for j in range(i + 1, n):

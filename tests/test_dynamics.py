@@ -5,8 +5,8 @@ import pytest
 from conftest import haar_state
 
 import stellar as st
-from stellar.errors import DomainError, NumericError, SymmetryViolationError
-from stellar.hamiltonians import parse
+from stellar.errors import DomainError, NumericError, ResourceError, SymmetryViolationError
+from stellar.hamiltonians import MAX_MATRIX_BYTES, parse
 
 RNG = np.random.default_rng(31415)
 
@@ -100,8 +100,23 @@ class TestTransitionBasis:
     def test_range(self):
         with pytest.raises(DomainError):
             st.build_transition(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ResourceError):
             st.build_transition(15)
+
+    def test_byte_limit_refuses_before_allocating(self):
+        import tracemalloc
+
+        assert 16 * 4**13 <= MAX_MATRIX_BYTES < 16 * 4**14
+        with pytest.raises(DomainError):
+            st.build_transition(-3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="bytes"):
+                st.build_transition(14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**16
 
 
 class TestExponentiate:

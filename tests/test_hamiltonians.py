@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import transposition_index_maps
+from conftest import generator_maps, orbit_constant, transposition_index_maps
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
 from stellar.dynamics import operator_symmetry_deficit
+from stellar.states import _exactly_symmetric
 from stellar.errors import DomainError, ExpressionSemanticError, ExpressionSyntaxError, ResourceError
 from stellar.hamiltonians import (
     FACTORS,
@@ -325,3 +326,94 @@ class TestAgainstReference:
         deficit = operator_symmetry_deficit(m, 6)
         assert deficit == _reference_deficit(m, 6)
         assert 0.0 < deficit <= 2e-13
+
+
+# symmetric in exact arithmetic, but the diagonal sums of its six terms round
+# differently on the entries a permutation exchanges
+_ROUNDED = (
+    "0.1*Z x Z x I + 0.1*Z x I x Z + 0.1*I x Z x Z + 0.3*Z x I x I + 0.3*I x Z x I + 0.3*I x I x Z"
+)
+
+
+def _one_ulp(z, imag):
+    """z with its real or imaginary part moved up by one ulp."""
+    if imag:
+        return complex(z.real, np.nextafter(z.imag, np.inf))
+    return complex(np.nextafter(z.real, np.inf), z.imag)
+
+
+class TestExactSymmetryShortcut:
+    """The two-generator test of operator_symmetry_deficit gives the reference deficit bit for bit."""
+
+    @pytest.mark.parametrize(
+        "text", [_lipkin(3, 0.4), _lipkin(4, 1.9), "sym(X Y Z)", "sym(X Y P1 Z)", "sym(Z Z I I) - 0.7*sym(Y P0 I I)"]
+    )
+    def test_one_ulp_on_any_entry(self, text):
+        m0 = st.build_matrix(parse(text)).matrix
+        n = m0.shape[0].bit_length() - 1
+        assert _exactly_symmetric(m0, n)
+        assert operator_symmetry_deficit(m0, n) == 0.0
+        for r, c in np.ndindex(m0.shape):
+            for imag in (False, True):
+                m = m0.copy()
+                m[r, c] = _one_ulp(m[r, c], imag)
+                assert operator_symmetry_deficit(m, n) == _reference_deficit(m, n)
+
+    def test_entries_every_permutation_fixes_are_free(self):
+        n = 4
+        m = st.build_matrix(parse(_lipkin(n, 0.4))).matrix.copy()
+        for r in (0, 2**n - 1):
+            for c in (0, 2**n - 1):
+                m[r, c] += 1.0 + 2.0j
+        assert operator_symmetry_deficit(m, n) == 0.0 == _reference_deficit(m, n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_generator_is_not_enough(self, n):
+        swap, cycle = generator_maps(n)
+        rng = np.random.default_rng(n)
+        for maps in ([swap], [cycle]):
+            m = orbit_constant(n, maps, rng, matrix=True)
+            deficit = operator_symmetry_deficit(m, n)
+            assert deficit == _reference_deficit(m, n)
+            assert deficit > 0.01
+        m = orbit_constant(n, [swap, cycle], rng, matrix=True)
+        assert operator_symmetry_deficit(m, n) == 0.0 == _reference_deficit(m, n)
+
+    def test_one_and_two_qubits(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert operator_symmetry_deficit(m, 1) == 0.0 == _reference_deficit(m, 1)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        deficit = operator_symmetry_deficit(m, 2)
+        assert deficit == _reference_deficit(m, 2) and deficit > 0.01
+        m = orbit_constant(2, generator_maps(2), rng, matrix=True)
+        assert operator_symmetry_deficit(m, 2) == 0.0 == _reference_deficit(m, 2)
+
+    def test_signed_zeros_are_equal(self):
+        m = st.build_matrix(parse(_lipkin(3, 0.4))).matrix.copy()
+        assert m[1, 6] == 0.0 and m[2, 5] == 0.0  # entries (0 1) exchanges
+        m[1, 6] = complex(-0.0, -0.0)
+        assert np.signbit(m[1, 6].real) and np.signbit(m[1, 6].imag)
+        deficit = operator_symmetry_deficit(m, 3)
+        assert deficit == 0.0 == _reference_deficit(m, 3)
+        assert math.copysign(1.0, deficit) == 1.0
+
+    def test_rounded_sum_takes_the_full_loop(self):
+        h = st.build_matrix(parse(_ROUNDED))
+        assert not _exactly_symmetric(h.matrix, 3)
+        deficit = operator_symmetry_deficit(h.matrix, 3)
+        assert deficit == _reference_deficit(h.matrix, 3)
+        assert 0.0 < deficit <= 1e-15
+        assert st.evolve(h, st.dicke_state(3, 0), [0.0, 0.5]).stars.shape == (2, 3, 3)
+
+    def test_symmetric_operator_takes_constant_calls(self, pair_axes_calls):
+        m = st.build_matrix(parse(_lipkin(8, 0.4))).matrix
+        assert operator_symmetry_deficit(m, 8) == 0.0
+        assert pair_axes_calls[0] == 1
+
+    def test_perturbed_operator_takes_the_full_loop(self, pair_axes_calls):
+        m = st.build_matrix(parse(_lipkin(8, 0.4))).matrix.copy()
+        m[5, 40] = _one_ulp(m[5, 40], False)
+        deficit = operator_symmetry_deficit(m, 8)
+        assert pair_axes_calls[0] == 1 + 8 * 7 // 2
+        assert deficit == _reference_deficit(m, 8)

@@ -85,6 +85,18 @@ class TestGeometricMeasure:
         s = st.rec_family_state(TETRA_THETA, math.pi / 2)
         assert st.e_g(s).value == pytest.approx(math.log2(3), abs=1e-8)
 
+    def test_tetrahedron_state_is_the_family_member(self):
+        s = st.tetrahedron_state()
+        assert s.d.tobytes() == st.rec_family_state(TETRA_THETA, math.pi / 2).d.tobytes()
+        v = st.state_to_stars(s).as_array()
+        gram = v @ v.T
+        assert np.abs(gram[~np.eye(4, dtype=bool)] + 1.0 / 3.0).max() <= 1e-12  # a regular tetrahedron
+
+    def test_rec_family_has_one_home(self):
+        from stellar import measures, states
+
+        assert measures.rec_family_state is states.rec_family_state is st.rec_family_state
+
     def test_ghz4(self):
         assert st.e_g(st.ghz_state(4)).value == pytest.approx(1.0, abs=1e-8)
 

@@ -203,6 +203,36 @@ class TestStarVectors:
         assert np.all((np.diff(theta) > 0.0) | (np.diff(phi) >= 0.0))
 
 
+class TestAngles:
+    """phi from stars._angles lies in [0, 2*pi) for every finite vector."""
+
+    @staticmethod
+    def _assert_in_range(v):
+        theta, phi = stars._angles(np.asarray(v, dtype=float))
+        assert np.all((0.0 <= theta) & (theta <= math.pi))
+        assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
+        return phi
+
+    def test_rounding_level_y(self):
+        v = [[1.0, -1e-17, 0.0], [1.0, 1e-17, 0.0], [1.0, -0.0, 0.0], [0.6, -1e-300, -0.8], [1e-300, -1e-300, 1.0]]
+        phi = self._assert_in_range(v)
+        assert list(phi[:4]) == [0.0, 1e-17, 0.0, 0.0]
+        assert phi[4] == 1.75 * math.pi
+
+    def test_poles_with_signed_zeros(self):
+        v = [[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (1.0, -1.0)]
+        assert list(self._assert_in_range(v)) == [0.0] * 8
+
+    def test_tetrahedron_stars(self):
+        self._assert_in_range(_star_vectors(st.tetrahedron_state()))
+        self._assert_in_range(st.state_to_stars(st.tetrahedron_state()).as_array())
+
+    @given(hs.lists(hs.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300), min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_vectors(self, v):
+        self._assert_in_range([v])
+
+
 class TestStarVectorsBatch:
     """The batch core agrees row by row with the serial reference above."""
 

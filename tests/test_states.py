@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_state, transposition_index_maps, uniform_qubit
+from conftest import generator_maps, haar_state, orbit_constant, transposition_index_maps, uniform_qubit
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
 from stellar.errors import DomainError, ResourceError, SymmetryViolationError
+from stellar.states import _exactly_symmetric
 
 RNG = np.random.default_rng(20240811)
 
@@ -227,6 +228,73 @@ class TestEmbedProject:
         for perm in transposition_index_maps(n):
             want = max(want, float(np.abs(full.amps[perm] - full.amps).max()))
         assert st.is_permutation_symmetric(full) == (want <= 1e-10, want)
+
+
+def _gathered_report(full):
+    """The gathered reference for is_permutation_symmetric."""
+    want = 0.0
+    for perm in transposition_index_maps(full.n):
+        want = max(want, float(np.abs(full.amps[perm] - full.amps).max()))
+    return (want <= 1e-10, want)
+
+
+class TestExactSymmetryShortcut:
+    """The two-generator test of is_permutation_symmetric gives the reference report bit for bit."""
+
+    @given(hs.integers(2, 7), hs.integers(0, 2**32 - 1), hs.sampled_from(["swap", "cycle", "both"]))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_constant_states(self, n, seed, group):
+        swap, cycle = generator_maps(n)
+        maps = {"swap": [swap], "cycle": [cycle], "both": [swap, cycle]}[group]
+        full = st.FullState(n, orbit_constant(n, maps, np.random.default_rng(seed)))
+        report = st.is_permutation_symmetric(full)
+        assert report == _gathered_report(full)
+        # for n <= 3 the orbits of the cycle are the Hamming-weight classes
+        if group == "both" or n == 2 or (group == "cycle" and n == 3):
+            assert report == (True, 0.0)
+        else:
+            assert report.deficit > 1e-6
+
+    def test_one_and_two_qubits(self):
+        rng = np.random.default_rng(5)
+        full = st.FullState(1, rng.normal(size=2) + 1j * rng.normal(size=2))
+        assert st.is_permutation_symmetric(full) == (True, 0.0) == _gathered_report(full)
+        assert _exactly_symmetric(full.amps, 1)
+        full = st.FullState(2, [0.5, 0.25, -0.25j, 0.1])
+        report = st.is_permutation_symmetric(full)
+        assert report == _gathered_report(full) and not report.symmetric
+        full = st.FullState(2, [0.5, 0.25j, 0.25j, 0.1])
+        assert st.is_permutation_symmetric(full) == (True, 0.0) == _gathered_report(full)
+
+    def test_signed_zeros_are_equal(self):
+        # weight 1 at indices 1, 2, 4 and weight 2 at 3, 5, 6
+        w1 = [complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)]
+        w2 = [complex(0.0, 0.2), complex(-0.0, 0.2), complex(0.0, 0.2)]
+        full = st.FullState(3, [0.5, w1[0], w1[1], w2[0], w1[2], w2[1], w2[2], 0.1])
+        assert np.signbit(full.amps[2].real) and not np.signbit(full.amps[1].real)
+        report = st.is_permutation_symmetric(full)
+        assert report == (True, 0.0) == _gathered_report(full)
+        assert math.copysign(1.0, report.deficit) == 1.0
+
+    def test_amplitudes_every_permutation_fixes_are_free(self):
+        amps = st.embed_full(haar_state(5, np.random.default_rng(51))).amps.copy()
+        amps[0] += 0.3
+        amps[-1] -= 0.2j
+        full = st.FullState(5, amps)
+        assert st.is_permutation_symmetric(full) == (True, 0.0) == _gathered_report(full)
+
+    def test_symmetric_state_takes_constant_calls(self, pair_axes_calls):
+        full = st.embed_full(haar_state(8, np.random.default_rng(81)))
+        assert st.is_permutation_symmetric(full) == (True, 0.0)
+        assert pair_axes_calls[0] == 1
+
+    def test_perturbed_state_takes_the_full_loop(self, pair_axes_calls):
+        amps = st.embed_full(haar_state(8, np.random.default_rng(81))).amps.copy()
+        amps[3] += 1e-13
+        full = st.FullState(8, amps)
+        report = st.is_permutation_symmetric(full)
+        assert pair_axes_calls[0] == 1 + 8 * 7 // 2
+        assert report == _gathered_report(full) and report.deficit > 0.0
 
 
 class TestLabels:
