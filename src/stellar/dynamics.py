@@ -231,14 +231,43 @@ def reduce_unitary(
 def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     """Assign new stars to previous identities, minimizing total geodesic cost.
 
-    Hungarian assignment; returns the reordered star array and the largest
-    single move.
+    Hungarian assignment; returns the column order, so that star i of prev
+    continues as ``new[order[i]]``, and the largest single move.
     """
     from scipy.optimize import linear_sum_assignment  # deferred: most CLI commands never match stars
 
     cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
     rows, order = linear_sum_assignment(cost)
-    return new[order], float(cost[rows, order].max())
+    return order, float(cost[rows, order].max())
+
+
+def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-star assignment of every step left[k] -> right[k], both (m, n, 3).
+
+    Returns sigma (m, n), the column of each row's smallest geodesic cost;
+    unique (m,), true where every row's smallest cost is strictly below its
+    second smallest and sigma[k] is a permutation; and move (m,), the
+    largest of the smallest costs.  Where unique holds, no other assignment
+    reaches the sum of the row minima, so sigma[k] is the only optimal one
+    and ``_match(left[k][p], right[k])`` returns ``sigma[k][p]`` for every
+    numbering p.  The costs are those ``_match`` computes, in chunks of
+    steps that keep each (steps, n, n) temporary near 2 MB.
+    """
+    m, n = left.shape[:2]
+    sigma = np.empty((m, n), dtype=np.intp)
+    unique = np.ones(m, dtype=bool)
+    move = np.empty(m)
+    rows = max(1, 2**18 // n**2)
+    for i in range(0, m, rows):
+        part = slice(i, i + rows)
+        cost = np.arccos(np.clip(left[part] @ right[part].swapaxes(1, 2), -1.0, 1.0))
+        sigma[part] = cost.argmin(axis=2)
+        if n > 1:
+            cost.partition(1, axis=2)
+            unique[part] = (cost[:, :, 0] < cost[:, :, 1]).all(axis=1)
+        move[part] = cost[:, :, 0].max(axis=1)
+    unique &= (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
+    return sigma, unique, move
 
 
 def evolve(
@@ -251,13 +280,23 @@ def evolve(
     """Propagate a symmetric state along exp(-i*beta*H) and follow its stars.
 
     H must commute with every qubit transposition; the evolution then runs
-    entirely in the (n+1)-dimensional symmetric block.  All grid frames are
-    computed together: one stack of block products, one pass of
-    normalization and phase fixing, and one batched star solve.  Star
-    identities are matched between consecutive grid points; whenever a
-    matched star moves more than ``max_step`` radians the interval is
-    bisected, each midpoint frame computed on its own, up to ``max_depth``
-    times, after which the step is kept and flagged as a discontinuity.
+    entirely in the (n+1)-dimensional symmetric block.  Star identities are
+    matched between consecutive frames by optimal assignment; whenever a
+    matched star moves more than ``max_step`` radians the step is bisected,
+    up to ``max_depth`` times, after which it is kept and flagged as a
+    discontinuity.
+
+    The steps are settled one refinement level at a time.  A level's frames
+    are computed together (one stack of block products, one pass of
+    normalization and phase fixing, one batched star solve): first the
+    grid, then all midpoints of the steps the previous level bisected.
+    Where each star's nearest successor is unique and the successors form a
+    permutation, that permutation is the only optimal assignment, whatever
+    the numbering of the previous stars, so the level decides those steps
+    from one cost tensor.  A step with a tied assignment, such as the first
+    step from stars that coincide, is matched in order against the numbered
+    previous stars by ``_match``, and its own midpoints are computed one at
+    a time.  Both ways give the assignment a step-by-step walk gives.
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise DomainError(f"max_step must be finite and positive, got {max_step}")
@@ -286,40 +325,95 @@ def evolve(
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     coeff0 = q.conj().T @ psi0.d
 
+    def joined(parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def frames(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The canonical Dicke rows at the betas b and their stars."""
         # a stack of matrix-vector products, not (...) @ q.T: it rounds each frame as q @ v does
         d = _canonical((q @ (np.exp(-1j * b[:, None] * lam) * coeff0)[:, :, None])[:, :, 0])
-        d.flags.writeable = False
         rows = max(1, 2**18 // n**2)  # per root solve, so its (rows, n, n) temporaries stay near 20 MB
-        return d, np.concatenate([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
+        return d, joined([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
 
+    # Frames are numbered as they are computed: the grid, each level's
+    # midpoints, then the midpoints of tied steps, which come one at a time.
     grid_d, grid_stars = frames(grid)
-    out_betas = [float(grid[0])]
-    out_d = [grid_d[0]]
-    out_stars = [grid_stars[0]]
-    out_flags = [False]
+    parts_b, parts_d, parts_stars = [grid], [grid_d], [grid_stars]
+    levels = []  # per level: each step's right frame, bisected flag, rank among the bisected; their count; unique, sigma, far
+    b0, b1 = grid[:-1], grid[1:]
+    right = np.arange(1, grid.size)
+    left_stars, right_stars = grid_stars[:-1], grid_stars[1:]
+    while right.size:
+        sigma, unique, move = _nearest(left_stars, right_stars)
+        far = move > max_step
+        split = unique & far & (len(levels) < max_depth)
+        # a bisected step's halves sit at the next level: all first halves, then all second halves
+        rank = np.cumsum(split) - 1
+        count = int(rank[-1]) + 1
+        levels.append((right.tolist(), split.tolist(), rank.tolist(), count, unique.tolist(), sigma, far.tolist()))
+        if not count:
+            break
+        mid = 0.5 * (b0[split] + b1[split])
+        mid_d, mid_stars = frames(mid)
+        right = np.concatenate([sum(map(len, parts_b)) + np.arange(count), right[split]])
+        parts_b.append(mid)
+        parts_d.append(mid_d)
+        parts_stars.append(mid_stars)
+        b0, b1 = np.concatenate([b0[split], mid]), np.concatenate([mid, b1[split]])
+        left_stars = np.concatenate([left_stars[split], mid_stars])
+        right_stars = np.concatenate([mid_stars, right_stars[split]])
 
-    def advance(b0: float, stars0: np.ndarray, b1: float, d1: np.ndarray, stars1: np.ndarray, depth: int):
-        matched, move = _match(stars0, stars1)
+    all_stars = joined(parts_stars)
+    tied_stars = []  # stars of the frames tied steps add
+    out_frame, out_order, out_flags = [0], [np.arange(n)], [False]
+
+    def stars_of(i: int) -> np.ndarray:
+        return all_stars[i] if i < len(all_stars) else tied_stars[i - len(all_stars)]
+
+    def advance(b0: float, b1: float, i1: int, depth: int):
+        """A tied step, matched against the numbered stars of the last frame."""
+        order, move = _match(stars_of(out_frame[-1])[out_order[-1]], stars_of(i1))
         if move <= max_step or depth >= max_depth:
-            out_betas.append(b1)
-            out_d.append(d1)
-            out_stars.append(matched)
+            out_frame.append(i1)
+            out_order.append(order)
             out_flags.append(move > max_step)
             return
         mid = 0.5 * (b0 + b1)
         mid_d, mid_stars = frames(np.array([mid]))
-        advance(b0, stars0, mid, mid_d[0], mid_stars[0], depth + 1)
-        advance(mid, out_stars[-1], b1, d1, stars1, depth + 1)
+        parts_b.append(np.array([mid]))
+        parts_d.append(mid_d)
+        tied_stars.append(mid_stars[0])
+        i_mid = len(all_stars) + len(tied_stars) - 1
+        advance(b0, mid, i_mid, depth + 1)
+        advance(mid, b1, i1, depth + 1)
 
-    for t in range(1, grid.size):
-        advance(float(grid[t - 1]), out_stars[-1], float(grid[t]), grid_d[t], grid_stars[t], 0)
+    def walk(level: int, k: int, b0: float, b1: float):
+        right, split, rank, count, unique, sigma, far = levels[level]
+        if split[k]:
+            mid = 0.5 * (b0 + b1)
+            walk(level + 1, rank[k], b0, mid)
+            walk(level + 1, count + rank[k], mid, b1)
+        elif unique[k]:
+            out_frame.append(right[k])
+            out_order.append(sigma[k][out_order[-1]])
+            out_flags.append(far[k])
+        else:
+            advance(b0, b1, right[k], level)
 
-    stars_arr = np.array(out_stars)
+    for t, (b0, b1) in enumerate(zip(grid[:-1].tolist(), grid[1:].tolist())):
+        walk(0, t, b0, b1)
+
+    levels.clear()  # free the per-step lists before the output is built
+    frame = np.array(out_frame)
+    if tied_stars:
+        all_stars = np.concatenate([all_stars, np.array(tied_stars)])
+    stars_arr = all_stars[frame[:, None], np.array(out_order)]
+    out_order.clear()
+    d = joined(parts_d)[frame]
+    d.flags.writeable = False
     return Trajectory(
-        betas=np.array(out_betas),
-        states=tuple(SymmetricState._from_canonical(d) for d in out_d),
+        betas=joined(parts_b)[frame],
+        states=tuple(SymmetricState._from_canonical(row) for row in d),
         stars=stars_arr,
         e_b=_e_b(stars_arr),
         discontinuity=np.array(out_flags, dtype=bool),
@@ -360,7 +454,7 @@ def e_b_profile(traj: Trajectory) -> np.ndarray:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     lines = ["beta,star_index,theta,phi,x,y,z,e_b"]
-    thetas, phis = traj.thetas, traj.phis
+    thetas, phis = _angles(traj.stars)
     for t, beta in enumerate(traj.betas):
         for i in range(traj.stars.shape[1]):
             x, y, z = traj.stars[t, i]

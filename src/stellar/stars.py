@@ -14,6 +14,7 @@ convention is fixed so that the constellation of a product state
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ __all__ = [
 # pinned to a pole.  The induced state perturbation is ~1e-13, far inside
 # every round-trip tolerance.
 _STRIP_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 def _on_sphere(v: np.ndarray) -> np.ndarray:
@@ -80,6 +82,22 @@ class Star:
         v = _on_sphere(np.array([self.x, self.y, self.z], dtype=float))
         for name, value in zip("xyz", (v / math.sqrt(v @ v)).tolist()):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_unit_rows(cls, v: np.ndarray) -> tuple["Star", ...]:
+        """Stars of the vectors v (k, 3) the star core gave, not checked again.
+
+        Each row is normalized as the constructor normalizes it: the stacked
+        1 x 3 products are the constructor's ``v @ v``, bit for bit.
+        """
+        out = []
+        for x, y, z in (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).tolist():
+            star = object.__new__(cls)
+            object.__setattr__(star, "x", x)
+            object.__setattr__(star, "y", y)
+            object.__setattr__(star, "z", z)
+            out.append(star)
+        return tuple(out)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "Star":
@@ -147,13 +165,14 @@ class MajoranaPolynomial:
         return self.n - self.degree
 
 
-def _pole_strip(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pole_strip(mags: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, last) non-negligible coefficient of each row of |coefficients| (m, n+1).
 
-    The ``first`` vanishing leading coefficients are stars at the south
-    pole and the ``n - last`` vanishing trailing ones stars at the north.
+    ``scale`` (m, 1) is each row's largest magnitude.  The ``first``
+    vanishing leading coefficients are stars at the south pole and the
+    ``n - last`` vanishing trailing ones stars at the north.
     """
-    keep = mags >= _STRIP_TOL * mags.max(axis=1, keepdims=True)
+    keep = mags >= _STRIP_TOL * scale
     return keep.argmax(axis=1), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
 
 
@@ -161,18 +180,36 @@ def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
     """Coefficients and effective degree of the state's star polynomial."""
     n = state.n
     coeffs = _sqrt_binom(n) * state.d
-    first = int(_pole_strip(np.abs(coeffs)[None])[0][0])
+    mags = np.abs(coeffs)[None]
+    first = int(_pole_strip(mags, mags.max(axis=1, keepdims=True))[0][0])
     coeffs.flags.writeable = False
     return MajoranaPolynomial(n, coeffs, n - first)
 
 
+@functools.lru_cache(maxsize=128)
+def _signed_sqrt_binom(n: int) -> np.ndarray:
+    """(-1)**k sqrt(C(n, k)) for k = 0..n, read-only: the weight of Dicke coefficient k in the star polynomial."""
+    w = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n)
+    w.flags.writeable = False
+    return w
+
+
 def _chart(w) -> np.ndarray:
-    """Inverse stereographic chart of points w as unit vectors (..., 3); see plane_to_sphere."""
+    """Inverse stereographic chart of points w as unit vectors (..., 3); see plane_to_sphere.
+
+    Raises DomainError for a point with a NaN part, the only kind the
+    sphere has no place for: theta and phi are bounded, so every other
+    point lands on the unit sphere, and phi is NaN whenever theta is.
+    """
     theta = 2.0 * np.arctan(np.abs(w))
     phi = np.arctan2(w.imag, w.real)
+    if np.isnan(phi).any():
+        raise DomainError(f"a root has no place on the sphere: {w}")
     s = np.sin(theta)
     # not renormalized: Star normalizes once, so a star rebuilt from its JSON angles is the same vector
-    return _on_sphere(np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1))
+    v = np.empty(theta.shape + (3,))
+    v[..., 0], v[..., 1], v[..., 2] = s * np.cos(phi), s * np.sin(phi), np.cos(theta)
+    return v
 
 
 def plane_to_sphere(w: complex) -> Star:
@@ -196,7 +233,7 @@ def sphere_to_plane(s: Star) -> complex | None:
 
 def _tiles(p: np.ndarray, r: int) -> np.ndarray:
     """Coefficient rows p (m, k) as k tiles (m, r): tile j repeats row i's coefficient j."""
-    return np.repeat(p.T[:, :, None], r, axis=2)
+    return p.T[:, :, None].repeat(r, axis=2)
 
 
 def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -204,7 +241,7 @@ def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Tiles of x's own shape make every step a same-shape operation.
     """
-    y = np.zeros_like(x)
+    y = np.zeros(x.shape, x.dtype)
     for c in tiles:
         y = y * x + c
     return y
@@ -221,11 +258,10 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.n
     """
     m, deg = roots.shape
     pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
-    eps = np.finfo(float).eps
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             val = _horner(pt, roots)
-            done = np.abs(val) <= 64.0 * eps * _horner(at, np.abs(roots)) + 1e-300
+            done = np.abs(val) <= 64.0 * _EPS * _horner(at, np.abs(roots)) + 1e-300
             if done.all():
                 break
             if dpt is None:
@@ -313,7 +349,6 @@ def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarr
     n = len(v)
     if n < 2:
         return v
-    eps = float(np.finfo(float).eps)
     dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
     np.fill_diagonal(dist, np.inf)
     frozen = np.zeros(n, dtype=bool)  # members of an accepted collapse
@@ -322,7 +357,7 @@ def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarr
     reach = np.sort(dist, axis=1).min(axis=0)
     stages = [n] + list(range(min(n - 1, 12), 1, -1))
     for m in stages:
-        tau = 12.0 * eps ** (1.0 / m)
+        tau = 12.0 * _EPS ** (1.0 / m)
         # a qualifying cluster has diameter <= tau, i.e. it is a clique in
         # the tau-graph, so some member sees all the others as neighbors
         need = max(m, 2) - 1
@@ -365,10 +400,10 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     sphere.
     """
     m, n = d.shape[0], d.shape[1] - 1
-    coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * d  # index k multiplies w^(n-k)
+    coeffs = _signed_sqrt_binom(n) * d  # index k multiplies w^(n-k)
     mags = np.abs(coeffs)
-    scale = mags.max(axis=1)  # > 0 for normalized rows
-    first, last = _pole_strip(mags)
+    scale = mags.max(axis=1, keepdims=True)  # > 0 for normalized rows
+    first, last = _pole_strip(mags, scale)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(first.tolist(), last.tolist())):
         groups.setdefault(key, []).append(i)
@@ -377,17 +412,17 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     for (f, l), members in groups.items():
         if l > f:
             rows = slice(None) if len(groups) == 1 else members
-            w[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows, None])
-    rows = np.flatnonzero(last > first)
+            w[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
+    rows = (last > first).nonzero()[0]
     v = _chart(w) if rows.size else np.zeros((m, n, 3)) + (0.0, 0.0, 1.0)
-    south = np.arange(n) < first[:, None]
-    if south.any():
-        v[south] = (0.0, 0.0, -1.0)
-    tau = 12.0 * float(np.finfo(float).eps) ** (1.0 / n)  # of the widest collapse stage, m = n
+    if first.any():
+        v[np.arange(n) < first[:, None]] = (0.0, 0.0, -1.0)
+    tau = 12.0 * _EPS ** (1.0 / n)  # of the widest collapse stage, m = n
     if rows.size and 2.0 * tau < math.pi:
         # keep the rows whose closest pair lies within 2 tau; twice, so that
         # no rounding of the Gram matrix can drop a row a stage would act on
-        gram = v[rows] @ v[rows].swapaxes(1, 2)
+        near = v if rows.size == m else v[rows]
+        gram = near @ near.swapaxes(1, 2)
         gram.reshape(rows.size, n * n)[:, :: n + 1] = -1.0
         rows = rows[gram.max(axis=(1, 2)) >= math.cos(2.0 * tau)]
     for i in rows.tolist():
@@ -407,7 +442,7 @@ def state_to_stars(state: SymmetricState) -> Constellation:
     Returns exactly n stars including pole multiplicities, sorted by
     (theta, phi) so equal states give identical output.
     """
-    return Constellation(state.n, tuple(Star(*row) for row in _star_vectors(state).tolist()))
+    return Constellation(state.n, Star._from_unit_rows(_star_vectors(state)))
 
 
 def stars_to_state(c: Constellation) -> SymmetricState:

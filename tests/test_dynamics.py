@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from conftest import haar_state
 
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
 import stellar as st
+from stellar import dynamics
+from stellar.dynamics import _match, _nearest
 from stellar.errors import DomainError, NumericError, ResourceError, SymmetryViolationError
 from stellar.hamiltonians import MAX_MATRIX_BYTES, parse
+from stellar.measures import _e_b
+from stellar.stars import _star_vectors_batch
+from stellar.states import _canonical, _dicke_isometry
 
 RNG = np.random.default_rng(31415)
 
@@ -307,8 +315,6 @@ class TestMatch:
     def test_reaches_brute_force_optimum(self):
         import itertools
 
-        from stellar.dynamics import _match
-
         rng = np.random.default_rng(2718)
         for _ in range(200):
             n = int(rng.integers(1, 7))
@@ -316,10 +322,278 @@ class TestMatch:
             new = st.state_to_stars(haar_state(n, rng)).as_array()
             cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
             best = min(sum(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
-            matched, move = _match(prev, new)
+            order, move = _match(prev, new)
+            matched = new[order]
             got = np.arccos(np.clip(np.sum(prev * matched, axis=1), -1.0, 1.0))
             assert abs(got.sum() - best) <= 1e-12
             assert move == pytest.approx(got.max(), abs=1e-15)
+
+
+def reference_evolve(h, psi0, betas, max_step=dynamics.MAX_STEP_RAD, max_depth=dynamics.MAX_REFINEMENT_DEPTH):
+    """The step-by-step evolve: each step matched by Hungarian assignment against the
+    numbered stars of the last frame, each midpoint of a bisection computed on its own.
+
+    The former loop, kept as the reference for the level-wise one; inputs are
+    assumed valid.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    m, n = dynamics._as_matrix(h)
+    grid = np.asarray(list(betas), dtype=float)
+    s = _dicke_isometry(n)
+    lam, q = np.linalg.eigh(s.T @ m @ s)
+    coeff0 = q.conj().T @ psi0.d
+
+    def frames(b):
+        d = _canonical((q @ (np.exp(-1j * b[:, None] * lam) * coeff0)[:, :, None])[:, :, 0])
+        d.flags.writeable = False
+        return d, _star_vectors_batch(d)
+
+    def match(prev, new):
+        cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
+        rows, order = linear_sum_assignment(cost)
+        return new[order], float(cost[rows, order].max())
+
+    grid_d, grid_stars = frames(grid)
+    out_betas, out_d, out_stars, out_flags = [float(grid[0])], [grid_d[0]], [grid_stars[0]], [False]
+
+    def advance(b0, stars0, b1, d1, stars1, depth):
+        matched, move = match(stars0, stars1)
+        if move <= max_step or depth >= max_depth:
+            out_betas.append(b1)
+            out_d.append(d1)
+            out_stars.append(matched)
+            out_flags.append(move > max_step)
+            return
+        mid = 0.5 * (b0 + b1)
+        mid_d, mid_stars = frames(np.array([mid]))
+        advance(b0, stars0, mid, mid_d[0], mid_stars[0], depth + 1)
+        advance(mid, out_stars[-1], b1, d1, stars1, depth + 1)
+
+    for t in range(1, grid.size):
+        advance(float(grid[t - 1]), out_stars[-1], float(grid[t]), grid_d[t], grid_stars[t], 0)
+    stars = np.array(out_stars)
+    return st.Trajectory(
+        betas=np.array(out_betas),
+        states=tuple(st.SymmetricState._from_canonical(d) for d in out_d),
+        stars=stars,
+        e_b=_e_b(stars),
+        discontinuity=np.array(out_flags, dtype=bool),
+    )
+
+
+def assert_same_trajectory(got, want):
+    assert np.array_equal(got.betas, want.betas)
+    assert np.array_equal(got.stars, want.stars)
+    assert np.array_equal(got.discontinuity, want.discontinuity)
+    assert np.array_equal(got.e_b, want.e_b)
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert a.n == b.n and np.array_equal(a.d, b.d)
+        assert not a.d.flags.writeable
+
+
+def sym(n, *factors):
+    """sym(factors I ...) on n qubits."""
+    return f"sym({' '.join(factors)}{' I' * (n - len(factors))})"
+
+
+def lipkin(n, alpha):
+    """The benchmark's Lipkin model sym(Z Z I..) + 0.5 sym(X I..) turned by alpha about z."""
+    terms = [sym(n, "Z", "Z")]
+    for coeff, pauli in ((math.cos(alpha), "X"), (math.sin(alpha), "Y")):
+        c = 0.5 * coeff
+        terms.append(f"{'-' if c < 0 else '+'} {abs(c)!r}*{sym(n, pauli)}")
+    return " ".join(terms)
+
+
+def starts(n, rng):
+    """Dicke states of every k, GHZ, a coherent state and a Haar state on n qubits."""
+    out = {f"dicke{k}": st.dicke_state(n, k) for k in range(n + 1)}
+    if n > 1:
+        out["ghz"] = st.ghz_state(n)
+    out["coherent"] = st.coherent_state(n, st.QubitState(0.7, 1.3))
+    out["haar"] = haar_state(n, rng)
+    return out
+
+
+class TestLevelwiseMatching:
+    """evolve settles steps a refinement level at a time; the trajectory is the step-by-step one, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_starts_and_grid_directions(self, n):
+        rng = np.random.default_rng(400 + n)
+        generators = [f"{sym(n, 'Z', 'Z')} + 0.7*{sym(n, 'X')}", sym(n, "X", "Z"), sym(n, "X", "X")] if n > 1 else ["Z + 0.7*X"]
+        for src in generators:
+            h = st.build_matrix(parse(src))
+            for psi0 in starts(n, rng).values():
+                for grid in (np.linspace(0.0, 0.6, 7), np.linspace(0.6, 0.0, 7), [0.4]):
+                    assert_same_trajectory(st.evolve(h, psi0, grid), reference_evolve(h, psi0, grid))
+
+    @pytest.mark.parametrize("kwargs", [{"max_step": 0.01}, {"max_depth": 0}, {"max_depth": 2}])
+    def test_refinement_settings(self, kwargs):
+        rng = np.random.default_rng(410)
+        cases = [(XY_HALF, st.dicke_state(2, 0)), (XY_HALF, st.dicke_state(2, 1)), (PAIR_FLOW, st.dicke_state(2, 0))]
+        cases += [(f"{sym(3, 'Z', 'Z')} + 0.7*{sym(3, 'X')}", psi0) for psi0 in starts(3, rng).values()]
+        for src, psi0 in cases:
+            h = st.build_matrix(parse(src))
+            for grid in (np.linspace(0.0, 1.4, 4), np.linspace(1.4, 0.1, 4)):
+                traj = st.evolve(h, psi0, grid, **kwargs)
+                assert_same_trajectory(traj, reference_evolve(h, psi0, grid, **kwargs))
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 4, 12])
+    def test_tie_below_a_bisected_step(self, calls, max_depth):
+        # the stars of the XY/2 flow meet at the south pole at pi/2: the grid
+        # step is bisected, and a tied step across the meeting follows at depth >= 1
+        h = st.build_matrix(parse(XY_HALF))
+        for grid in ([math.pi / 2 - 0.8, math.pi / 2 + 0.05], [math.pi / 2 + 0.05, math.pi / 2 - 0.8]):
+            calls["match"] = 0
+            traj = st.evolve(h, st.dicke_state(2, 0), grid, max_depth=max_depth)
+            assert calls["match"] >= 1 and calls["core"] >= 2
+            assert_same_trajectory(traj, reference_evolve(h, st.dicke_state(2, 0), grid, max_depth=max_depth))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_benchmark_lipkin(self, n):
+        rng = np.random.default_rng(420 + n)
+        for alpha in rng.uniform(0.0, 2.0 * math.pi, 2):
+            h = st.build_matrix(parse(lipkin(n, alpha)))
+            psi0 = st.coherent_state(n, st.QubitState(1.1, 0.4 + alpha))
+            grid = np.linspace(0.0, 1.5, 61)
+            assert_same_trajectory(st.evolve(h, psi0, grid), reference_evolve(h, psi0, grid))
+
+    def test_benchmark_two_qubit_flows(self):
+        for src, grid in ((XY_HALF, np.linspace(0.0, math.pi / 2, 1501)), (PAIR_FLOW, np.linspace(0.002, math.pi / 2, 2001))):
+            h = st.build_matrix(parse(src))
+            psi0 = st.dicke_state(2, 0)
+            assert_same_trajectory(st.evolve(h, psi0, grid), reference_evolve(h, psi0, grid))
+
+
+def unit_rows(rng, shape):
+    v = rng.normal(size=(*shape, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@hs.composite
+def star_steps(draw):
+    """Stars of two frames: random, moved by a drawn amount, with drawn coincidences."""
+    n = draw(hs.integers(1, 7))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    left = unit_rows(rng, (n,))
+    for i, j in draw(hs.lists(hs.tuples(hs.integers(0, n - 1), hs.integers(0, n - 1)), max_size=2)):
+        left[i] = left[j]  # coincident stars
+    scale = draw(hs.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.1, 0.5, 2.0]))
+    right = left[rng.permutation(n)] + scale * rng.normal(size=(n, 3))
+    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    return left, right, rng.permutation(n)
+
+
+class TestNearest:
+    @given(star_steps())
+    @settings(max_examples=400, deadline=None)
+    def test_unique_nearest_is_the_assignment(self, step):
+        from scipy.optimize import linear_sum_assignment
+
+        left, right, p = step
+        sigma, unique, move = _nearest(left[None], right[None])
+        if not unique[0]:
+            return
+        cost = np.arccos(np.clip(left @ right.T, -1.0, 1.0))
+        assert np.array_equal(linear_sum_assignment(cost)[1], sigma[0])
+        assert np.array_equal(linear_sum_assignment(cost[p])[1], sigma[0][p])
+        order, matched_move = _match(left[p], right)
+        assert np.array_equal(order, sigma[0][p])
+        assert matched_move == move[0]
+
+    def test_conditions(self):
+        rng = np.random.default_rng(430)
+        left = unit_rows(rng, (5, 4))
+        right = left[:, ::-1] + 1e-3 * unit_rows(rng, (5, 4))
+        sigma, unique, move = _nearest(left, right)
+        assert unique.all() and (sigma == np.arange(4)[::-1]).all()
+        cost = np.arccos(np.clip(left @ right.swapaxes(1, 2), -1.0, 1.0))
+        assert np.array_equal(move, cost[:, np.arange(4), sigma[0]].max(axis=1))
+        tied = left.copy()
+        tied[0, 1] = tied[0, 0]  # two stars of the first frame coincide
+        right[1, 2] = right[1, 3]  # two rows of the second step share a nearest star
+        assert _nearest(tied, right)[1].tolist() == [False, False, True, True, True]
+        single = unit_rows(rng, (3, 1))
+        sigma, unique, move = _nearest(single, single[::-1])
+        assert unique.all() and not sigma.any()
+        assert _nearest(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))[0].shape == (0, 3)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of _match and star-core calls inside evolve."""
+    count = {"match": 0, "core": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            count[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "_match", counted("match", dynamics._match))
+    monkeypatch.setattr(dynamics, "_star_vectors_batch", counted("core", dynamics._star_vectors_batch))
+    return count
+
+
+def refinement_levels(traj, grid):
+    """Bisection depth of the finest step of a trajectory on a uniform grid."""
+    return round(math.log2(abs(grid[1] - grid[0]) / np.abs(np.diff(traj.betas)).min()))
+
+
+def tied_steps(traj):
+    """Steps of a trajectory whose nearest-star assignment is not unique."""
+    return int((~_nearest(traj.stars[:-1], traj.stars[1:])[1]).sum())
+
+
+class TestCallCounts:
+    """The level-wise walk calls the assignment solver only on ties, and the star core once per level."""
+
+    def test_pair_flow_never_matches(self, calls):
+        grid = np.linspace(0.002, math.pi / 2, 2001)
+        traj = st.evolve(st.build_matrix(parse(PAIR_FLOW)), st.dicke_state(2, 0), grid)
+        assert calls["match"] == 0
+        assert calls["core"] == 1 + refinement_levels(traj, grid)
+
+    @pytest.mark.parametrize("max_step", [0.2, 0.01])
+    def test_star_core_once_per_level(self, calls, max_step):
+        grid = np.linspace(0.1, 1.4, 4)
+        traj = st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), grid, max_step=max_step)
+        levels = refinement_levels(traj, grid)
+        assert levels >= (5 if max_step < 0.1 else 2)
+        assert calls["match"] == 0
+        assert calls["core"] == 1 + levels
+
+    def test_xy_flow_matches_only_ties(self, calls):
+        grid = np.linspace(0.0, math.pi / 2, 1501)
+        traj = st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), grid)
+        assert traj.betas.size == grid.size  # no step was bisected
+        assert calls["match"] == tied_steps(traj) >= 1
+
+
+class TestLongGridMemory:
+    # tracemalloc peak of the step-by-step evolve on this input (numpy 2.4); building
+    # the step costs in one (steps, n, n) tensor instead of in chunks peaks near 29.3e6
+    STEP_BY_STEP_PEAK = 23_600_721
+
+    def test_peak(self):
+        import tracemalloc
+
+        n = 8
+        h = st.build_matrix(parse(f"{sym(n, 'Z', 'Z')} + 0.7*{sym(n, 'X')}"))
+        psi0 = haar_state(n, np.random.default_rng(5))
+        st.evolve(h, psi0, np.linspace(0.0, 2.0, 5))
+        tracemalloc.start()
+        try:
+            traj = st.evolve(h, psi0, np.linspace(0.0, 2.0, 20001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.betas.size == 20001
+        assert peak <= self.STEP_BY_STEP_PEAK
 
 
 class TestArgumentValidation:

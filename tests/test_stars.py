@@ -58,6 +58,19 @@ class TestStar:
 
 
 class TestStateToStars:
+    @given(hs.integers(1, 24), hs.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stars_are_the_constructor_stars(self, n, seed):
+        # the stars are built row-wise from the core's vectors, bit for bit as Star(x, y, z) builds each
+        rng = np.random.default_rng(seed)
+        states = [haar_state(n, rng), st.dicke_state(n, int(rng.integers(0, n + 1)))]
+        if n > 2:
+            states.append(_cluster_state(2, n, 1.0, 0.3, "poles"))
+        for state in states:
+            got = np.array([(s.x, s.y, s.z) for s in st.state_to_stars(state).stars])
+            want = np.array([(s.x, s.y, s.z) for s in (st.Star(*row) for row in _star_vectors(state).tolist())])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (5, 0), (5, 5), (7, 3)])
     def test_dicke_pole_pattern(self, n, k):
         c = st.state_to_stars(st.dicke_state(n, k))
@@ -304,6 +317,18 @@ class TestNonFiniteRoots:
         h = st.build_matrix(st.parse("sym(Z Z I)"))
         with pytest.raises(DomainError):
             st.evolve(h, _haar_from_seed(3, 7), [0.0, 0.1])
+
+    @pytest.mark.parametrize("w", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, np.nan), complex(np.nan, np.inf)])
+    def test_chart_refuses_a_nan_part(self, w):
+        with pytest.raises(DomainError):
+            stars._chart(np.array([[0.5 + 0.5j, w]]))
+        with pytest.raises(DomainError):
+            st.plane_to_sphere(w)
+
+    @pytest.mark.parametrize("w", [0j, complex(np.inf, 0.0), complex(-np.inf, np.inf), complex(1e300, -1e300), 1e-300j])
+    def test_chart_places_every_other_point(self, w):
+        v = stars._chart(np.array([w]))
+        assert np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() <= 1e-15
 
     def test_one_nan_row_fails_the_batch(self, monkeypatch):
         rows = np.array([_haar_from_seed(4, seed).d for seed in range(5)])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -322,6 +323,31 @@ class TestStateJson:
         s = haar_state(7, RNG)
         back = st.state_from_json(st.state_to_json(s))
         assert np.array_equal(s.d, back.d)
+
+    def test_round_trip_bitwise_over_haar_states(self):
+        rng = np.random.default_rng(1729)
+        for n in (7,) * 2000 + (1, 2, 3, 12, 40) * 40:
+            s = haar_state(n, rng)
+            back = st.state_from_json(st.state_to_json(s))
+            assert back.n == n and np.array_equal(s.d, back.d)
+            assert not back.d.flags.writeable
+
+    @pytest.mark.parametrize(
+        "dicke",
+        [
+            [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]],  # neither normalized nor phase-fixed
+            [[0.6, 1e-17], [0.8, 0.0], [0.0, 0.0]],  # pivot off the real axis by a rounding error
+            [[0.6, 0.0], [0.8000000001, 0.0], [0.0, 0.0]],  # norm off by 1e-10
+            [[0.0, 0.0], [-0.6, 0.0], [0.0, 0.8]],  # negative pivot after a zero
+        ],
+    )
+    def test_other_rows_are_canonicalized(self, dicke):
+        back = st.state_from_json(json.dumps({"n": 2, "dicke": dicke}))
+        want = st.SymmetricState(2, [complex(re, im) for re, im in dicke])
+        assert np.array_equal(back.d, want.d)
+        pivot = back.d[np.flatnonzero(back.d)[0]]
+        assert pivot.imag == 0.0 and pivot.real > 0.0
+        assert not back.d.flags.writeable
 
     def test_seventeen_digits(self):
         s = st.SymmetricState(1, [1.0, 1.0])
