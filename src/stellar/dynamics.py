@@ -21,15 +21,7 @@ from .errors import DomainError, NumericError, ResourceError, SymmetryViolationE
 from .hamiltonians import MAX_MATRIX_BYTES, HermitianOperator
 from .measures import _e_b
 from .stars import _angles, _star_vectors_batch
-from .states import (
-    _MOVED_BLOCKS,
-    SymmetricState,
-    _canonical,
-    _dicke_isometry,
-    _exactly_symmetric,
-    _format_float,
-    _pair_axes,
-)
+from .states import SymmetricState, _canonical, _dicke_isometry, _format_float, _transposition_deficit
 
 __all__ = [
     "TransitionBasis",
@@ -124,19 +116,7 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     m = np.ascontiguousarray(matrix)
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
-    if _exactly_symmetric(m, n):
-        return 0.0
-    deficit = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            side = _pair_axes(n, i, j)
-            t = m.reshape(side + side)
-            worst = [
-                np.abs(t[:, a, :, b, :, :, c, :, d] - t[:, b, :, a, :, :, d, :, c]).max()
-                for a, b, c, d in _MOVED_BLOCKS
-            ]
-            deficit = max(deficit, float(np.max(worst)))
-    return deficit
+    return _transposition_deficit(m, n)
 
 
 def _as_matrix(h: HermitianOperator | np.ndarray) -> tuple[np.ndarray, int]:
@@ -303,7 +283,7 @@ def evolve(
     m, n = _as_matrix(h)
     if n != psi0.n:
         raise DomainError(f"Hamiltonian acts on {n} qubits, state has {psi0.n}")
-    deficit = operator_symmetry_deficit(m, n)
+    deficit = _transposition_deficit(m, n)  # m is finite: checked where it was made
     if deficit > 1e-12:
         raise SymmetryViolationError(
             f"evolve needs a permutation-symmetric Hamiltonian (deficit {deficit:.3e} > 1e-12)",

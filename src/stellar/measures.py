@@ -3,19 +3,31 @@
 The barycentric measure is 1 - d**2 with d the distance from the
 constellation's barycenter to the center of the Bloch ball.  The geometric
 measure is -log2 of the state's maximal squared overlap with a symmetric
-product state, i.e. -log2 of the Husimi maximum; the maximizer runs a
-coarse sphere grid followed by a damped-Newton ascent from the best grid
-cells and from every star position.
+product state, i.e. -log2 of the Husimi maximum.
+
+One Husimi evaluator serves everything.  The amplitude at (theta, phi) is
+sum_k w_k T_k(theta) with T_k = cos^(n-k)(theta/2) sin^k(theta/2), built
+by running products in ``_powers``, and w_k = gbar_k e^(i k phi).
+d/dtheta keeps the basis, d/dtheta T_k = (k T_(k-1) - (n-k) T_(k+1)) / 2,
+so it is one cached tridiagonal matrix A, and sum_k w_k (A T)_k is the
+row w @ A against T; d/dphi maps w to i k w.  Value, gradient and
+Hessian all contract rows with T, A T and A A T.
+``e_g(state, grid, max_iter)`` sweeps the theta x phi grid as one matmul
+(T(thetas) * gbar) @ e^(i k phis), then runs a damped-Newton ascent from
+the best grid cells and from every star.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ResourceError
+from .hamiltonians import MAX_MATRIX_BYTES
 from .stars import Constellation, Star, _angles, _star_vectors
 from .states import QubitState, SymmetricState, _sqrt_binom, rec_family_state, symmetrize
 
@@ -81,102 +93,85 @@ def e_b(obj: SymmetricState | Constellation) -> float:
 # ---------------------------------------------------------------------------
 # Husimi evaluation and ascent
 
+_GRID_STARTS = 8  # ascent starts taken from the best grid cells, one per basin
+_GTOL = 1e-12  # gradient tolerance of the ascent, before the round-off floor
+
 
 def _husimi_weights(state: SymmetricState) -> np.ndarray:
     return state.d.conj() * _sqrt_binom(state.n)
 
 
-class _HusimiPlan:
-    """Per-n index tables for the fused Husimi value/gradient/Hessian."""
-
-    def __init__(self, n: int):
-        k = np.arange(n + 1)
-        kf = k.astype(float)
-        self.n = n
-        self.k = k
-        self.ik = 1j * kf
-        self.mk2 = -(kf**2)
-        # exponent columns into the cos/sin power tables (size n+3)
-        self.c0, self.s0 = n - k, k
-        self.cp1, self.sm1 = n - k + 1, np.maximum(k - 1, 0)
-        self.cm1, self.sp1 = np.maximum(n - k - 1, 0), k + 1
-        self.cp2, self.sm2 = n - k + 2, np.maximum(k - 2, 0)
-        self.cm2, self.sp2 = np.maximum(n - k - 2, 0), k + 2
-        # derivative coefficients; zeros cancel the clamped exponents above
-        self.a1 = kf
-        self.a2 = n - kf
-        self.b1 = kf * (kf - 1.0)
-        self.b2 = kf * (n - kf + 1.0) + (n - kf) * (kf + 1.0)
-        self.b3 = (n - kf) * (n - kf - 1.0)
-        self.phase_cache: dict[int, np.ndarray] = {}
-
-    def phase_matrix(self, n_ph: int) -> np.ndarray:
-        """exp(i*k*phi) on the canonical phi grid, cached per grid size."""
-        e = self.phase_cache.get(n_ph)
-        if e is None:
-            phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
-            e = self.phase_cache[n_ph] = np.exp(1j * np.outer(self.k, phis))
-        return e
+def _powers(theta, n: int) -> np.ndarray:
+    """T[i, k] = cos^(n-k)(theta_i/2) * sin^k(theta_i/2), by running products."""
+    u = 0.5 * np.asarray(theta, dtype=float).ravel()
+    m = u.shape[0]
+    cp = np.ones((m, n + 1))
+    sp = np.ones((m, n + 1))
+    np.multiply.accumulate(np.broadcast_to(np.cos(u)[:, None], (m, n)), axis=1, out=cp[:, 1:])
+    np.multiply.accumulate(np.broadcast_to(np.sin(u)[:, None], (m, n)), axis=1, out=sp[:, 1:])
+    return cp[:, ::-1] * sp
 
 
-_PLANS: dict[int, _HusimiPlan] = {}
+@functools.lru_cache(maxsize=64)
+def _d_theta(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tridiagonal A with d/dtheta T_k = (k T_(k-1) - (n-k) T_(k+1)) / 2 = (A T)_k,
+    kept as its sub- and superdiagonal A[k, k-1] = k/2, A[k-1, k] = -(n-k+1)/2."""
+    k = np.arange(1.0, n + 1.0)
+    sub, sup = 0.5 * k, -0.5 * (n + 1.0 - k)
+    sub.flags.writeable = sup.flags.writeable = False
+    return sub, sup
 
 
-def _plan(n: int) -> _HusimiPlan:
-    plan = _PLANS.get(n)
-    if plan is None:
-        plan = _PLANS[n] = _HusimiPlan(n)
-    return plan
+def _theta_derivative(t: np.ndarray) -> np.ndarray:
+    """A T: d/dtheta of a power table, row by row, in the same basis."""
+    sub, sup = _d_theta(t.shape[1] - 1)
+    out = np.zeros_like(t)
+    out[:, 1:] = t[:, :-1] * sub
+    out[:, :-1] += t[:, 1:] * sup
+    return out
 
 
 def _husimi_eval(gbar: np.ndarray, n: int, theta, phi, order: int):
     """Husimi value, analytic gradient, analytic Hessian, batched over points.
 
-    The amplitude is f = sum_k gbar_k cos^(n-k)(theta/2) sin^k(theta/2)
-    e^(i k phi); every derivative keeps only non-negative powers so the
-    poles need no special casing.  Returns (q, grad, hess) with the
+    The amplitude is sum_k w_k T_k.  A derivative in theta replaces T by
+    A T (A T, A A T for the second), one in phi multiplies w by i k; every
+    term is a coefficient row against a real table in the same basis, so
+    the poles need no special casing.  Returns (q, grad, hess) with the
     trailing entries None below the requested ``order``.
     """
-    p = _plan(n)
-    th = np.asarray(theta, dtype=float).ravel()
-    ph = np.asarray(phi, dtype=float).ravel()
-    m = th.shape[0]
-    u = 0.5 * th
-    c, s = np.cos(u), np.sin(u)
-    cp = np.empty((m, n + 3))
-    sp = np.empty((m, n + 3))
-    cp[:, 0] = 1.0
-    sp[:, 0] = 1.0
-    np.multiply.accumulate(np.broadcast_to(c[:, None], (m, n + 2)), axis=1, out=cp[:, 1:])
-    np.multiply.accumulate(np.broadcast_to(s[:, None], (m, n + 2)), axis=1, out=sp[:, 1:])
-
-    w = gbar * np.exp(1j * np.outer(ph, p.k))  # (m, n+1)
-    t0 = cp[:, p.c0] * sp[:, p.s0]
-    f = (w * t0).sum(axis=1)
+    t = _powers(theta, n)
+    k = np.arange(n + 1)
+    w = gbar * np.exp(1j * np.outer(np.asarray(phi, dtype=float).ravel(), k))
+    f = (w * t).sum(axis=1)
     q = f.real**2 + f.imag**2
     if order == 0:
         return q, None, None
 
+    ik = 1j * k
+    w_p = ik * w
+    t_t = _theta_derivative(t)
+    f_t = (w * t_t).sum(axis=1)
+    f_p = (w_p * t).sum(axis=1)
     fc = f.conj()
-    a = p.a1 * (cp[:, p.cp1] * sp[:, p.sm1]) - p.a2 * (cp[:, p.cm1] * sp[:, p.sp1])
-    f_t = 0.5 * (w * a).sum(axis=1)
-    f_p = (w * p.ik * t0).sum(axis=1)
     grad = np.stack([2.0 * (fc * f_t).real, 2.0 * (fc * f_p).real], axis=1)
     if order == 1:
         return q, grad, None
 
-    a_prime = (
-        p.b1 * (cp[:, p.cp2] * sp[:, p.sm2])
-        - p.b2 * t0
-        + p.b3 * (cp[:, p.cm2] * sp[:, p.sp2])
-    )
-    f_tt = 0.25 * (w * a_prime).sum(axis=1)
-    f_tp = 0.5 * (w * p.ik * a).sum(axis=1)
-    f_pp = (w * p.mk2 * t0).sum(axis=1)
+    f_tt = (w * _theta_derivative(t_t)).sum(axis=1)
+    f_tp = (w_p * t_t).sum(axis=1)
+    f_pp = (ik * w_p * t).sum(axis=1)
     htt = 2.0 * (np.abs(f_t) ** 2 + (fc * f_tt).real)
     htp = 2.0 * ((f_p.conj() * f_t).real + (fc * f_tp).real)
     hpp = 2.0 * (np.abs(f_p) ** 2 + (fc * f_pp).real)
     return q, grad, (htt, htp, hpp)
+
+
+def _husimi_grid(gbar: np.ndarray, n: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Husimi values on the tensor grid thetas x phis: the amplitudes are one
+    matmul, (T(thetas) * gbar) @ e^(i k phis)."""
+    f = (_powers(thetas, n) * gbar) @ np.exp(1j * np.outer(np.arange(n + 1), phis))
+    return f.real**2 + f.imag**2
 
 
 def husimi(state: SymmetricState, point: QubitState) -> float:
@@ -280,38 +275,40 @@ def e_g(
     state: SymmetricState,
     grid: tuple[int, int] = (64, 128),
     max_iter: int = 60,
-    gtol: float = 1e-12,
-    n_grid_starts: int = 8,
 ) -> GeometricResult:
     """Geometric measure via Husimi maximization over the sphere.
 
     A coarse theta x phi grid locates the candidate basins; a damped-Newton
-    ascent starts from the best grid cells and from every star position.
-    Convergence means a gradient below ``gtol`` or below the round-off
-    floor of the gradient evaluation, whichever is larger.  Raises
-    ConvergenceError carrying the best result if no start attaining the
-    best value converges.
+    ascent starts from the best ``_GRID_STARTS`` grid cells and from every
+    star position.  Convergence means a gradient below ``_GTOL`` or below
+    the round-off floor of the gradient evaluation, whichever is larger.
+    ``grid`` must be two integers >= 2 (else DomainError), and a grid whose
+    sweep needs more than MAX_MATRIX_BYTES is refused with ResourceError
+    before anything is allocated.  Raises ConvergenceError carrying the
+    best result if no start attaining the best value converges.
     """
-    gbar = _husimi_weights(state)
-    n = state.n
-    eps = float(np.finfo(float).eps)
-    gtol = max(gtol, 4.0 * eps * n * float(np.abs(gbar).sum()))
-
-    n_th, n_ph = grid
+    try:
+        n_th, n_ph = (operator.index(size) for size in grid)
+    except (TypeError, ValueError):
+        raise DomainError(f"husimi grid must be two integers, got {grid!r}") from None
     if n_th < 2 or n_ph < 2:
         raise DomainError("husimi grid must be at least 2x2")
+    gbar = _husimi_weights(state)
+    n = state.n
+    # amplitudes, values and sort order per point; theta and phi tables
+    need = 32 * n_th * n_ph + 16 * (n + 1) * (n_th + n_ph)
+    if need > MAX_MATRIX_BYTES:
+        raise ResourceError(
+            f"a {n_th}x{n_ph} Husimi grid needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
+        )
+    eps = float(np.finfo(float).eps)
+    gtol = max(_GTOL, 4.0 * eps * n * float(np.abs(gbar).sum()))
+
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
-    # the grid is a tensor product, so the sweep is one small matmul
-    p = _plan(n)
-    u = 0.5 * thetas[:, None]
-    t_theta = np.cos(u) ** p.c0 * np.sin(u) ** p.s0
-    f_grid = (t_theta * gbar) @ p.phase_matrix(n_ph)
-    qgrid = (f_grid.real**2 + f_grid.imag**2).ravel()
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-
-    order = np.lexsort((pp, tt, -qgrid))[: 16 * n_grid_starts]
+    qgrid = _husimi_grid(gbar, n, thetas, phis).ravel()
+    # best first; ties keep (theta, phi) order, which is the raveled order
+    order = np.argsort(-qgrid, kind="stable")[: 16 * _GRID_STARTS]
     starts: list[tuple[float, float]] = []
 
     def _push(th, ph, radius):
@@ -324,9 +321,9 @@ def e_g(
     # spatial dedupe at the grid spacing keeps one start per candidate basin
     spacing = min(math.pi / (n_th - 1), 2.0 * math.pi / n_ph)
     for i in order:
-        if len(starts) >= n_grid_starts:
+        if len(starts) >= _GRID_STARTS:
             break
-        _push(tt[i], pp[i], spacing)
+        _push(thetas[i // n_ph], phis[i % n_ph], spacing)
     for th_star, ph_star in zip(*_angles(_star_vectors(state))):
         _push(th_star, ph_star, 1e-6)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,8 +59,14 @@ _TWO_PI = 2.0 * math.pi
 
 @functools.lru_cache(maxsize=128)
 def _sqrt_binom(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n, read-only: every caller shares one array."""
-    c = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
+    """sqrt(C(n, k)) for k = 0..n, read-only: every caller shares one array.
+
+    Raises ResourceError when C(n, n/2) exceeds the float range (n >= 1030).
+    """
+    try:
+        c = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
+    except OverflowError:
+        raise ResourceError(f"binomial coefficients of {n} qubits exceed the float range") from None
     c.flags.writeable = False
     return c
 
@@ -385,10 +392,35 @@ def _pair_axes(n: int, i: int, j: int) -> tuple[int, int, int, int, int]:
     return (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
 
 
-# one of each pair of sub-blocks (row bit i, row bit j, column bit i, column
-# bit j) that the transposition of qubits i and j swaps in a matrix; the pair
-# of (a, b, c, d) is (b, a, d, c), and the four blocks with a == b, c == d stay
-_MOVED_BLOCKS = [k for k in np.ndindex(2, 2, 2, 2) if k < (k[1], k[0], k[3], k[2])]
+_ALL = slice(None)
+
+
+@functools.lru_cache(maxsize=2)
+def _moved_blocks(ndim: int) -> list[tuple[tuple, tuple]]:
+    """Index pairs of the sub-blocks that a qubit transposition swaps.
+
+    Split by ``_pair_axes``, each of the ``ndim`` axes of an array carries
+    the bits (i, j) of its index; the transposition of qubits i and j moves
+    the block with bits (a, b) on every axis to the block with (b, a).
+    Blocks with a == b on every axis stay.  One block of each moved pair is
+    listed with its partner: one pair for a vector, six for a matrix.
+    """
+
+    def index(bits):
+        return tuple(x for a, b in zip(bits[::2], bits[1::2]) for x in (_ALL, a, _ALL, b, _ALL))
+
+    blocks = []
+    for bits in itertools.product((0, 1), repeat=2 * ndim):
+        moved = tuple(bits[k ^ 1] for k in range(2 * ndim))  # (a, b, c, d) -> (b, a, d, c)
+        if bits < moved:
+            blocks.append((index(bits), index(moved)))
+    return blocks
+
+
+def _swapped_views(arr: np.ndarray, n: int, i: int, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs of strided views of ``arr`` that the transposition of qubits i < j swaps."""
+    t = arr.reshape(_pair_axes(n, i, j) * arr.ndim)
+    return [(t[x], t[y]) for x, y in _moved_blocks(arr.ndim)]
 
 
 def _exactly_symmetric(arr: np.ndarray, n: int) -> bool:
@@ -402,44 +434,49 @@ def _exactly_symmetric(arr: np.ndarray, n: int) -> bool:
     """
     if n < 2:
         return True
-    half = 1 << (n - 1)
-    side = _pair_axes(n, 0, 1)
-    if arr.ndim == 1:
-        t = arr.reshape(side)
-        swapped = [(t[:, 0, :, 1], t[:, 1, :, 0])]
-        cycled = (arr.reshape(2, half), arr.reshape(half, 2).T)
-    else:
-        t = arr.reshape(side + side)
-        swapped = [
-            (t[:, a, :, b, :, :, c, :, d], t[:, b, :, a, :, :, d, :, c]) for a, b, c, d in _MOVED_BLOCKS
-        ]
-        cycled = (arr.reshape(2, half, 2, half), arr.reshape(half, 2, half, 2).transpose(1, 0, 3, 2))
+    if not all(np.array_equal(x, y) for x, y in _swapped_views(arr, n, 0, 1)):
+        return False
     # the cycle moves qubit 0's bit to the lowest place; for n = 2 it is (0 1)
-    return all(np.array_equal(x, y) for x, y in swapped) and (n == 2 or np.array_equal(*cycled))
+    half = 1 << (n - 1)
+    cycled = arr.reshape((half, 2) * arr.ndim).transpose([a ^ 1 for a in range(2 * arr.ndim)])
+    return n == 2 or np.array_equal(arr.reshape((2, half) * arr.ndim), cycled)
+
+
+def _transposition_deficit(arr: np.ndarray, n: int) -> float:
+    """Largest change that a qubit transposition makes to an entry of the finite ``arr``.
+
+    ``arr`` is a 2**n vector, or a 2**n x 2**n matrix permuted on rows and
+    columns together.  An array that the generators (0 1) and the n-cycle
+    leave exactly equal, the common case, gives 0.0 after two comparisons.
+    Otherwise every transposition is measured: it moves only the entries
+    whose two bits differ, so each one compares the strided sub-blocks it
+    swaps.  Both paths give the same deficit bit for bit.
+    """
+    if _exactly_symmetric(arr, n):
+        return 0.0
+    deficit = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for x, y in _swapped_views(arr, n, i, j):
+                deficit = max(deficit, float(np.abs(x - y).max()))
+    return deficit
 
 
 def is_permutation_symmetric(full: FullState, tol: float = 1e-10) -> SymmetryReport:
     """Check invariance of the amplitudes under all qubit transpositions.
 
-    Exactly symmetric amplitudes, the common case, are recognised from the
-    two generators (0 1) and the n-cycle and report deficit 0.0.  Otherwise
-    every transposition is measured: it moves only the amplitudes whose two
-    bits differ, so each one compares the strided sub-blocks with bits
-    (0, 1) and (1, 0).  Both paths give the same deficit bit for bit.
+    The deficit is ``_transposition_deficit`` of the amplitudes: 0.0 for
+    exactly symmetric amplitudes, recognised from two generators, else the
+    largest change over every transposition.
     """
-    n = full.n
-    if _exactly_symmetric(full.amps, n):
-        return SymmetryReport(0.0 <= tol, 0.0)
-    deficit = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = full.amps.reshape(_pair_axes(n, i, j))
-            deficit = max(deficit, float(np.abs(t[:, 0, :, 1] - t[:, 1, :, 0]).max()))
+    deficit = _transposition_deficit(full.amps, full.n)
     return SymmetryReport(deficit <= tol, deficit)
 
 
 def jm_to_nk(j: float, m: float) -> tuple[int, int]:
     """Map an angular-momentum label |j, m> to the Dicke label (n, k)."""
+    if not (math.isfinite(j) and math.isfinite(m)):
+        raise DomainError(f"j and m must be finite, got j={j}, m={m}")
     n = 2.0 * j
     if abs(n - round(n)) > 1e-9 or n < 1:
         raise DomainError(f"j must be a positive half-integer, got {j}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stellar as st
-from stellar import dynamics, states
+from stellar import states
 
 
 def haar_state(n: int, rng: np.random.Generator) -> st.SymmetricState:
@@ -78,7 +78,8 @@ def orbit_constant(n: int, maps, rng: np.random.Generator, matrix: bool = False)
 
 @pytest.fixture
 def pair_axes_calls(monkeypatch):
-    """A one-item list that counts calls of the _pair_axes view both symmetry checks use."""
+    """A one-item list that counts calls of the _pair_axes view that the one
+    transposition check in states makes for vectors and matrices alike."""
     count = [0]
     view = states._pair_axes
 
@@ -87,5 +88,4 @@ def pair_axes_calls(monkeypatch):
         return view(*args)
 
     monkeypatch.setattr(states, "_pair_axes", counting)
-    monkeypatch.setattr(dynamics, "_pair_axes", counting)
     return count

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -138,6 +139,19 @@ class TestMalformedInput:
         ],
     )
     def test_domain_error_is_3(self, capsys, args):
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stars", "--dicke", "1100", "3"],
+            ["random", "--n", "1100", "--seed", "1"],
+            ["measure", "--dicke", "1100", "3"],
+        ],
+    )
+    def test_resource_error_is_3(self, capsys, args):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
@@ -343,12 +357,19 @@ class TestHelp:
         assert "0.2" in capsys.readouterr().out
 
 
+def cli_env(**extra) -> dict:
+    """The environment with the source of the imported package first on PYTHONPATH."""
+    path = [os.path.dirname(os.path.dirname(st.__file__)), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stellar.cli", "measure", "--dicke", "10", "3", "--eb"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "E_B = 0.84\n"
@@ -356,16 +377,13 @@ class TestConsoleScript:
     def test_cross_process_determinism(self):
         # different hash seeds must not change output bytes (set iteration
         # order is the classic leak)
-        import os
-
         args = [
             sys.executable, "-m", "stellar.cli",
             "reduce", "--hamiltonian", "sym(X Z P0) + 0.5*sym(Y P1 I)", "--beta", "0.9",
         ]
         outputs = []
         for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(args, capture_output=True, env=env)
+            proc = subprocess.run(args, capture_output=True, env=cli_env(PYTHONHASHSEED=seed))
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

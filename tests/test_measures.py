@@ -1,12 +1,17 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import haar_state, uniform_qubit, uniform_star
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import stellar as st
-from stellar.errors import DomainError
-from stellar.measures import husimi_batch, husimi_gradient
+from stellar.cli import main as cli_main
+from stellar.errors import DomainError, ResourceError
+from stellar.measures import _husimi_eval, _husimi_grid, _husimi_weights, husimi_batch, husimi_gradient
 
 RNG = np.random.default_rng(4711)
 
@@ -265,3 +270,131 @@ class TestPairFamilyOrdering:
             s = st.symmetrize([st.QubitState(0, 0), st.QubitState(theta, 0)])
             eb, eg = st.e_b(s), st.e_g(s).value
             assert eb >= eg - 1e-7
+
+
+def reference_husimi_eval(gbar, n, theta, phi):
+    """The index-table form of the Husimi evaluator, kept as a reference:
+    cos and sin power tables of n+3 columns, clamped exponents whose zero
+    coefficients cancel them, and explicit derivative formulas."""
+    k = np.arange(n + 1)
+    kf = k.astype(float)
+    c0, s0 = n - k, k
+    cp1, sm1 = n - k + 1, np.maximum(k - 1, 0)
+    cm1, sp1 = np.maximum(n - k - 1, 0), k + 1
+    cp2, sm2 = n - k + 2, np.maximum(k - 2, 0)
+    cm2, sp2 = np.maximum(n - k - 2, 0), k + 2
+    b1 = kf * (kf - 1.0)
+    b2 = kf * (n - kf + 1.0) + (n - kf) * (kf + 1.0)
+    b3 = (n - kf) * (n - kf - 1.0)
+
+    th = np.asarray(theta, dtype=float).ravel()
+    ph = np.asarray(phi, dtype=float).ravel()
+    m = th.shape[0]
+    c, s = np.cos(0.5 * th), np.sin(0.5 * th)
+    cp = np.empty((m, n + 3))
+    sp = np.empty((m, n + 3))
+    cp[:, 0] = 1.0
+    sp[:, 0] = 1.0
+    np.multiply.accumulate(np.broadcast_to(c[:, None], (m, n + 2)), axis=1, out=cp[:, 1:])
+    np.multiply.accumulate(np.broadcast_to(s[:, None], (m, n + 2)), axis=1, out=sp[:, 1:])
+
+    w = gbar * np.exp(1j * np.outer(ph, k))
+    t0 = cp[:, c0] * sp[:, s0]
+    f = (w * t0).sum(axis=1)
+    q = f.real**2 + f.imag**2
+    fc = f.conj()
+    a = kf * (cp[:, cp1] * sp[:, sm1]) - (n - kf) * (cp[:, cm1] * sp[:, sp1])
+    f_t = 0.5 * (w * a).sum(axis=1)
+    f_p = (w * 1j * kf * t0).sum(axis=1)
+    grad = np.stack([2.0 * (fc * f_t).real, 2.0 * (fc * f_p).real], axis=1)
+    a_prime = b1 * (cp[:, cp2] * sp[:, sm2]) - b2 * t0 + b3 * (cp[:, cm2] * sp[:, sp2])
+    f_tt = 0.25 * (w * a_prime).sum(axis=1)
+    f_tp = 0.5 * (w * 1j * kf * a).sum(axis=1)
+    f_pp = (w * -(kf**2) * t0).sum(axis=1)
+    htt = 2.0 * (np.abs(f_t) ** 2 + (fc * f_tt).real)
+    htp = 2.0 * ((f_p.conj() * f_t).real + (fc * f_tp).real)
+    hpp = 2.0 * (np.abs(f_p) ** 2 + (fc * f_pp).real)
+    return q, grad, (htt, htp, hpp)
+
+
+class TestSingleHusimiEvaluator:
+    """One power table T and a tridiagonal d/dtheta serve the value, the
+    derivatives and the E_G grid sweep."""
+
+    @given(
+        hs.integers(1, 40),
+        hs.integers(0, 2**32 - 1),
+        hs.lists(
+            hs.tuples(hs.floats(0.0, math.pi), hs.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_index_table_evaluator(self, n, seed, points):
+        gbar = _husimi_weights(haar_state(n, np.random.default_rng(seed)))
+        points = points + [(0.0, points[0][1]), (math.pi, points[0][1])]
+        th, ph = (np.array(v) for v in zip(*points))
+        q, grad, hess = _husimi_eval(gbar, n, th, ph, 2)
+        q_ref, grad_ref, hess_ref = reference_husimi_eval(gbar, n, th, ph)
+        assert np.array_equal(q, q_ref)
+        assert np.abs(grad - grad_ref).max() <= 1e-12
+        assert max(np.abs(h - h_ref).max() for h, h_ref in zip(hess, hess_ref)) <= 1e-12
+        q1, grad1, none = _husimi_eval(gbar, n, th, ph, 1)
+        assert np.array_equal(q1, q) and np.array_equal(grad1, grad) and none is None
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 25, 40])
+    def test_grid_sweep_equals_pointwise_values(self, n):
+        s = haar_state(n, RNG)
+        thetas = np.linspace(0.0, math.pi, 17)
+        phis = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+        grid = _husimi_grid(_husimi_weights(s), n, thetas, phis)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        pointwise = husimi_batch(s, tt.ravel(), pp.ravel()).reshape(grid.shape)
+        assert np.abs(grid - pointwise).max() <= 4 * np.finfo(float).eps
+
+    def test_e_g_options(self):
+        assert list(inspect.signature(st.e_g).parameters) == ["state", "grid", "max_iter"]
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (10, 3)])
+    def test_witness_attains_overlap_on_dicke_rings(self, n, k):
+        # the Husimi maximum of a Dicke state is a ring, so which phi the
+        # witness takes follows round-off; every point of the ring attains
+        # the printed overlap
+        state = st.dicke_state(n, k)
+        r = st.e_g(state)
+        assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
+        ring = husimi_batch(state, np.full(64, r.witness.theta), np.linspace(0.0, 2.0 * math.pi, 64))
+        assert np.abs(ring - r.overlap).max() <= 1e-12
+
+
+class TestHusimiGridLimits:
+    @pytest.mark.parametrize("grid", [(64.5, 128), (64, 128, 3), (64,), None, "64x128", (1, 128), (64, 1)])
+    def test_malformed_grid_is_domain_error(self, grid):
+        with pytest.raises(DomainError):
+            st.e_g(st.dicke_state(4, 1), grid=grid)
+
+    def test_numpy_integer_grid(self):
+        want = st.e_g(st.dicke_state(4, 1))
+        assert st.e_g(st.dicke_state(4, 1), grid=(np.int64(64), np.int32(128))) == want
+
+    def test_oversized_grid_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="bytes"):
+                st.e_g(st.dicke_state(4, 1), grid=(10**6, 10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_oversized_grid_exits_3(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli_main(["measure", "--dicke", "4", "1", "--eg", "--husimi-grid", "1000000x1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and err.startswith("error:")
+        assert peak < 2**24

@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 
 import stellar as st
 from stellar.errors import DomainError, ResourceError, SymmetryViolationError
-from stellar.states import _exactly_symmetric
+from stellar.states import _exactly_symmetric, _sqrt_binom
 
 RNG = np.random.default_rng(20240811)
 
@@ -316,6 +316,27 @@ class TestLabels:
             st.jm_to_nk(1.2, 0.2)
         with pytest.raises(DomainError):
             st.jm_to_nk(1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "j,m", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_is_domain_error(self, j, m):
+        with pytest.raises(DomainError):
+            st.jm_to_nk(j, m)
+
+
+class TestBinomialRange:
+    def test_last_representable_n_is_unchanged(self):
+        for n in (1, 2, 40, 1000, 1029):
+            want = np.sqrt(np.array([float(math.comb(n, k)) for k in range(n + 1)]))
+            assert np.array_equal(_sqrt_binom(n), want)
+
+    @pytest.mark.parametrize("n", [1030, 1100])
+    def test_beyond_float_range_is_resource_error(self, n):
+        with pytest.raises(ResourceError, match="float range"):
+            _sqrt_binom(n)
+        with pytest.raises(ResourceError):
+            st.state_to_stars(st.dicke_state(n, 3))
 
 
 class TestStateJson:
