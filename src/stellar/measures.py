@@ -14,7 +14,7 @@ row w @ A against T; d/dphi maps w to i k w.  Value, gradient and
 Hessian all contract rows with T, A T and A A T.
 ``e_g(state, grid, max_iter)`` sweeps the theta x phi grid as one matmul
 (T(thetas) * gbar) @ e^(i k phis), then runs a damped-Newton ascent from
-the best grid cells and from every star.
+the best grid cells; it needs the Husimi function alone, not the stars.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceError
 from .hamiltonians import MAX_MATRIX_BYTES
-from .stars import Constellation, Star, _angles, _star_vectors
+from .stars import Constellation, Star, _star_vectors
 from .states import QubitState, SymmetricState, _sqrt_binom, rec_family_state, symmetrize
 
 __all__ = [
@@ -279,9 +279,11 @@ def e_g(
     """Geometric measure via Husimi maximization over the sphere.
 
     A coarse theta x phi grid locates the candidate basins; a damped-Newton
-    ascent starts from the best ``_GRID_STARTS`` grid cells and from every
-    star position.  Convergence means a gradient below ``_GTOL`` or below
+    ascent starts from the best ``_GRID_STARTS`` grid cells, at most one per
+    grid spacing.  Convergence means a gradient below ``_GTOL`` or below
     the round-off floor of the gradient evaluation, whichever is larger.
+    The witness is the first near-best endpoint in (theta, phi) order, with
+    phi reduced to one period of Q in phi (phi = 0 on a ring).
     ``grid`` must be two integers >= 2 (else DomainError), and a grid whose
     sweep needs more than MAX_MATRIX_BYTES is refused with ResourceError
     before anything is allocated.  Raises ConvergenceError carrying the
@@ -302,7 +304,8 @@ def e_g(
             f"a {n_th}x{n_ph} Husimi grid needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
         )
     eps = float(np.finfo(float).eps)
-    gtol = max(_GTOL, 4.0 * eps * n * float(np.abs(gbar).sum()))
+    # sum_k |gbar_k| T_k(theta) <= |d| = 1 by Cauchy-Schwarz, so the gradient's round-off is O(n^2 eps)
+    gtol = max(_GTOL, 4.0 * eps * n * n)
 
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
@@ -311,27 +314,29 @@ def e_g(
     order = np.argsort(-qgrid, kind="stable")[: 16 * _GRID_STARTS]
     starts: list[tuple[float, float]] = []
 
-    def _push(th, ph, radius):
+    # spatial dedupe at the grid spacing keeps one start per candidate basin
+    spacing = min(math.pi / (n_th - 1), 2.0 * math.pi / n_ph)
+
+    def _push(th, ph):
         for t0, p0 in starts:
             cosd = math.cos(t0) * math.cos(th) + math.sin(t0) * math.sin(th) * math.cos(p0 - ph)
-            if math.acos(min(1.0, max(-1.0, cosd))) < radius:
+            if math.acos(min(1.0, max(-1.0, cosd))) < spacing:
                 return
         starts.append((float(th), float(ph)))
 
-    # spatial dedupe at the grid spacing keeps one start per candidate basin
-    spacing = min(math.pi / (n_th - 1), 2.0 * math.pi / n_ph)
     for i in order:
         if len(starts) >= _GRID_STARTS:
             break
-        _push(thetas[i // n_ph], phis[i % n_ph], spacing)
-    for th_star, ph_star in zip(*_angles(_star_vectors(state))):
-        _push(th_star, ph_star, 1e-6)
+        _push(thetas[i // n_ph], phis[i % n_ph])
 
     th0 = np.array([s[0] for s in starts])
     ph0 = np.array([s[1] for s in starts])
     th, ph, q, ok = _ascend(gbar, n, th0, ph0, max_iter, gtol)
 
     best = float(q.max())
+    # Q has period 2*pi/g in phi, g the gcd of the gaps between nonzero indices
+    g = math.gcd(*np.diff(np.flatnonzero(gbar)).tolist())
+    ph = ph % (2.0 * math.pi / g) if g else np.zeros_like(ph)
     # QubitState canonicalizes the chart, so the witness is the first
     # near-best point in (theta, phi) order
     candidates = sorted(

@@ -153,6 +153,13 @@ class TestDickeClosedForm:
     def test_known_value(self):
         assert st.e_g_dicke(4, 2).value == pytest.approx(math.log2(8 / 3), abs=1e-15)
 
+    @pytest.mark.parametrize("n", [80, 100, 150, 300])
+    def test_optimizer_at_large_n(self, n):
+        # the convergence floor depends on n alone, so the ascent polishes
+        # every grid start however large the Dicke weights get
+        err = [abs(st.e_g(st.dicke_state(n, k)).value - st.e_g_dicke(n, k).value) for k in range(n + 1)]
+        assert max(err) <= 1e-12
+
 
 class TestHusimiZeros:
     def test_zeros_sit_antipodal_to_stars(self):
@@ -366,6 +373,32 @@ class TestSingleHusimiEvaluator:
         assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
         ring = husimi_batch(state, np.full(64, r.witness.theta), np.linspace(0.0, 2.0 * math.pi, 64))
         assert np.abs(ring - r.overlap).max() <= 1e-12
+        assert r.witness.phi == 0.0
+
+    @pytest.mark.parametrize("n,k1,k2", [(4, 0, 4), (12, 0, 12), (7, 1, 6), (7, 5, 7), (8, 2, 7), (8, 3, 6)])
+    def test_witness_in_first_period(self, n, k1, k2):
+        # with nonzero Dicke coefficients at k1 and k2 alone (GHZ: 0 and n),
+        # Q(theta, phi) has period 2 pi / (k2 - k1) in phi
+        d = np.zeros(n + 1, dtype=complex)
+        d[[k1, k2]] = 1.0
+        state = st.ghz_state(n) if k2 - k1 == n else st.SymmetricState(n, d)
+        r = st.e_g(state)
+        assert r.witness.phi < 2.0 * math.pi / (k2 - k1)
+        assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n,seed", [(200, 1), (400, 2)])
+    def test_haar_attains_grid_maximum(self, n, seed):
+        state = haar_state(n, np.random.default_rng(seed))
+        r = st.e_g(state)
+        assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
+        thetas = np.linspace(0.0, math.pi, 257)
+        phis = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+        assert r.overlap >= _husimi_grid(_husimi_weights(state), n, thetas, phis).max() - 1e-12
+
+    def test_ghz400(self):
+        assert abs(st.e_g(st.ghz_state(400)).value - 1.0) <= 1e-12
 
 
 class TestHusimiGridLimits:

@@ -293,7 +293,7 @@ class TestStarVectorsBatch:
 
 
 class TestNonFiniteRoots:
-    """A root the chart cannot place raises DomainError on every path."""
+    """A root the chart cannot place raises DomainError on every path that needs roots."""
 
     @pytest.fixture
     def nan_roots(self, monkeypatch):
@@ -309,9 +309,19 @@ class TestNonFiniteRoots:
         with pytest.raises(DomainError):
             st.e_b(_haar_from_seed(4, 7))
 
-    def test_e_g(self, nan_roots):
+    def test_e_g(self, request, monkeypatch):
+        # E_G reads the Husimi function alone: no roots, so no DomainError
+        state = _haar_from_seed(4, 7)
+        want = st.e_g(state, grid=(8, 16))
+        request.getfixturevalue("nan_roots")
+        calls = []
+        core = stars._star_vectors_batch
+        monkeypatch.setattr(stars, "_star_vectors_batch", lambda d: calls.append(d) or core(d))
+        assert st.e_g(state, grid=(8, 16)) == want
+        assert calls == []
         with pytest.raises(DomainError):
-            st.e_g(_haar_from_seed(4, 7), grid=(8, 16))
+            st.e_b(state)
+        assert len(calls) == 1
 
     def test_evolve(self, nan_roots):
         h = st.build_matrix(st.parse("sym(Z Z I)"))
