@@ -156,10 +156,13 @@ def _parse_grid(text: str, line: bool = False) -> tuple[int, int]:
     g = (int(m.group(1)), int(m.group(2) or 0))
     if not line and min(g) < 2:
         raise DomainError("grid sizes must be at least 2")
+    if line and g[0] < 1:
+        raise DomainError("a line grid needs at least one point")
     return g
 
 
-def _parse_betas(text: str) -> np.ndarray:
+def _parse_betas(text: str, n: int) -> np.ndarray:
+    """'start:stop:count' as a grid for evolve on n qubits, refused before it is allocated if too large."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"betas must look like 'start:stop:count', got {text!r}")
@@ -169,6 +172,7 @@ def _parse_betas(text: str) -> np.ndarray:
         raise DomainError(f"bad betas {text!r}: {exc}") from exc
     if count < 2:
         raise DomainError("beta grid needs at least 2 points")
+    dynamics._check_frames(count, n)
     return np.linspace(start, stop, count)
 
 
@@ -247,6 +251,8 @@ def _sweep_rows(args):
     else:  # dicke
         if args.n is None:
             raise DomainError("--family dicke requires --n")
+        if args.n < 1:
+            raise DomainError(f"--family dicke needs --n of at least 1, got {args.n}")
         for k in range(args.n + 1):
             yield float(k), None, states.dicke_state(args.n, k)
 
@@ -319,7 +325,7 @@ def _hamiltonian_from_args(args) -> hamiltonians.HermitianOperator:
 def _cmd_evolve(args) -> int:
     h = _hamiltonian_from_args(args)
     psi0 = _state_from_args(args)
-    traj = dynamics.evolve(h, psi0, _parse_betas(args.betas), max_step=args.max_step)
+    traj = dynamics.evolve(h, psi0, _parse_betas(args.betas, h.n), max_step=args.max_step)
     _emit(args, dynamics.trajectory_to_csv(traj))
     return 0
 
@@ -327,7 +333,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_velocity(args) -> int:
     h = _hamiltonian_from_args(args)
     psi0 = _state_from_args(args)
-    traj = dynamics.evolve(h, psi0, _parse_betas(args.betas), max_step=args.max_step)
+    traj = dynamics.evolve(h, psi0, _parse_betas(args.betas, h.n), max_step=args.max_step)
     profile = dynamics.velocity_profile(traj, divergence_threshold=args.divergence_threshold)
     _emit(args, dynamics.velocity_to_csv(profile))
     return 0

@@ -4,9 +4,8 @@ A permutation-symmetric unitary on n qubits is block diagonal in the
 Dicke-adapted basis: an (n+1) x (n+1) block V on the symmetric subspace
 and a complementary block W.  ``build_transition`` constructs that basis,
 ``reduce_unitary`` extracts the blocks, and ``evolve`` propagates a
-symmetric state entirely inside the small block, tracking star identities
-from step to step by optimal assignment and refining the parameter grid
-wherever a star would jump too far.
+symmetric state inside the small block in two passes: it refines the grid
+where a star would jump too far, then numbers the stars in one walk.
 """
 
 from __future__ import annotations
@@ -221,6 +220,20 @@ def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     return order, float(cost[rows, order].max())
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of a batched (rows, n, n) computation: 2**18 entries, 2 MiB as float64, 4 MiB as complex128."""
+    return max(1, 2**18 // n**2)
+
+
+def _check_frames(count: int, n: int) -> None:
+    """ResourceError, before allocating, if count frames (beta, Dicke row, stars) exceed MAX_MATRIX_BYTES."""
+    need = count * (8 + 16 * (n + 1) + 24 * n)
+    if need > MAX_MATRIX_BYTES:
+        raise ResourceError(
+            f"{count} frames on {n} qubits need {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
+        )
+
+
 def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-star assignment of every step left[k] -> right[k], both (m, n, 3).
 
@@ -230,14 +243,14 @@ def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     largest of the smallest costs.  Where unique holds, no other assignment
     reaches the sum of the row minima, so sigma[k] is the only optimal one
     and ``_match(left[k][p], right[k])`` returns ``sigma[k][p]`` for every
-    numbering p.  The costs are those ``_match`` computes, in chunks of
-    steps that keep each (steps, n, n) temporary near 2 MB.
+    numbering p.  Any assignment moves some star at least ``move[k]``.
+    The costs are those ``_match`` computes, in ``_chunk_rows`` chunks.
     """
     m, n = left.shape[:2]
     sigma = np.empty((m, n), dtype=np.intp)
     unique = np.ones(m, dtype=bool)
     move = np.empty(m)
-    rows = max(1, 2**18 // n**2)
+    rows = _chunk_rows(n)
     for i in range(0, m, rows):
         part = slice(i, i + rows)
         cost = np.arccos(np.clip(left[part] @ right[part].swapaxes(1, 2), -1.0, 1.0))
@@ -248,6 +261,22 @@ def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
         move[part] = cost[:, :, 0].max(axis=1)
     unique &= (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
     return sigma, unique, move
+
+
+def _numbered(stars: np.ndarray, max_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stars of consecutive frames (m, n, 3) numbered from frame 0, and where a star moves over max_step.
+
+    A tied step is matched by ``_match`` against the numbered stars before it.
+    """
+    sigma, unique, move = _nearest(stars[:-1], stars[1:])
+    perm = np.empty(stars.shape[:2], dtype=np.intp)
+    perm[0] = np.arange(stars.shape[1])
+    for t, tied in enumerate((~unique).tolist(), start=1):
+        if tied:
+            perm[t], move[t - 1] = _match(stars[t - 1][perm[t - 1]], stars[t])
+        else:
+            perm[t] = sigma[t - 1][perm[t - 1]]
+    return stars[np.arange(len(stars))[:, None], perm], np.concatenate([[False], move > max_step])
 
 
 def evolve(
@@ -264,19 +293,16 @@ def evolve(
     matched between consecutive frames by optimal assignment; whenever a
     matched star moves more than ``max_step`` radians the step is bisected,
     up to ``max_depth`` times, after which it is kept and flagged as a
-    discontinuity.
+    discontinuity.  Frames above MAX_MATRIX_BYTES raise ResourceError.
 
-    The steps are settled one refinement level at a time.  A level's frames
-    are computed together (one stack of block products, one pass of
-    normalization and phase fixing, one batched star solve): first the
-    grid, then all midpoints of the steps the previous level bisected.
-    Where each star's nearest successor is unique and the successors form a
-    permutation, that permutation is the only optimal assignment, whatever
-    the numbering of the previous stars, so the level decides those steps
-    from one cost tensor.  A step with a tied assignment, such as the first
-    step from stars that coincide, is matched in order against the numbered
-    previous stars by ``_match``, and its own midpoints are computed one at
-    a time.  Both ways give the assignment a step-by-step walk gives.
+    Two passes give the step-by-step walk's result.  The first refines a
+    level at a time: one batch of frames (block products, phase fixing,
+    star solve) and one cost tensor per level, whose steps that move too
+    far are bisected.  The second numbers the stars of all frames, in grid
+    order, in one walk.  A unique nearest-star assignment is the only
+    optimal one whatever the numbering, so only tied steps, such as the
+    first from coinciding stars, go to ``_match``: unnumbered in the first
+    pass for their move, numbered in the second.
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise DomainError(f"max_step must be finite and positive, got {max_step}")
@@ -295,6 +321,7 @@ def evolve(
     diffs = np.diff(grid)
     if diffs.size and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("beta grid must be strictly monotone")
+    _check_frames(grid.size, n)
 
     # project H onto the Dicke block and diagonalize once
     s = _dicke_isometry(n)
@@ -305,98 +332,49 @@ def evolve(
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     coeff0 = q.conj().T @ psi0.d
 
-    def joined(parts: list[np.ndarray]) -> np.ndarray:
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     def frames(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The canonical Dicke rows at the betas b and their stars."""
         # a stack of matrix-vector products, not (...) @ q.T: it rounds each frame as q @ v does
         d = _canonical((q @ (np.exp(-1j * b[:, None] * lam) * coeff0)[:, :, None])[:, :, 0])
-        rows = max(1, 2**18 // n**2)  # per root solve, so its (rows, n, n) temporaries stay near 20 MB
-        return d, joined([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
+        rows = _chunk_rows(n)
+        return d, np.concatenate([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
 
-    # Frames are numbered as they are computed: the grid, each level's
-    # midpoints, then the midpoints of tied steps, which come one at a time.
-    grid_d, grid_stars = frames(grid)
-    parts_b, parts_d, parts_stars = [grid], [grid_d], [grid_stars]
-    levels = []  # per level: each step's right frame, bisected flag, rank among the bisected; their count; unique, sigma, far
-    b0, b1 = grid[:-1], grid[1:]
-    right = np.arange(1, grid.size)
-    left_stars, right_stars = grid_stars[:-1], grid_stars[1:]
-    while right.size:
-        sigma, unique, move = _nearest(left_stars, right_stars)
-        far = move > max_step
-        split = unique & far & (len(levels) < max_depth)
-        # a bisected step's halves sit at the next level: all first halves, then all second halves
-        rank = np.cumsum(split) - 1
-        count = int(rank[-1]) + 1
-        levels.append((right.tolist(), split.tolist(), rank.tolist(), count, unique.tolist(), sigma, far.tolist()))
-        if not count:
+    # pass 1: bisect, a level at a time, every step whose stars move too far
+    d, stars = frames(grid)
+    parts_b, parts_d, parts_stars = [grid], [d], [stars]
+    b0, b1, left, right = grid[:-1], grid[1:], stars[:-1], stars[1:]
+    for _ in range(max_depth):
+        _, unique, move = _nearest(left, right)
+        # a tied step's nearest move bounds its assignment's from below: only one within max_step needs the solver
+        for k in np.flatnonzero(~unique & (move <= max_step)):
+            move[k] = _match(left[k], right[k])[1]
+        split = move > max_step
+        if not split.any():
             break
+        _check_frames(sum(map(len, parts_b)) + int(split.sum()), n)
         mid = 0.5 * (b0[split] + b1[split])
         mid_d, mid_stars = frames(mid)
-        right = np.concatenate([sum(map(len, parts_b)) + np.arange(count), right[split]])
         parts_b.append(mid)
         parts_d.append(mid_d)
         parts_stars.append(mid_stars)
         b0, b1 = np.concatenate([b0[split], mid]), np.concatenate([mid, b1[split]])
-        left_stars = np.concatenate([left_stars[split], mid_stars])
-        right_stars = np.concatenate([mid_stars, right_stars[split]])
+        left = np.concatenate([left[split], mid_stars])
+        right = np.concatenate([mid_stars, right[split]])
 
-    all_stars = joined(parts_stars)
-    tied_stars = []  # stars of the frames tied steps add
-    out_frame, out_order, out_flags = [0], [np.arange(n)], [False]
-
-    def stars_of(i: int) -> np.ndarray:
-        return all_stars[i] if i < len(all_stars) else tied_stars[i - len(all_stars)]
-
-    def advance(b0: float, b1: float, i1: int, depth: int):
-        """A tied step, matched against the numbered stars of the last frame."""
-        order, move = _match(stars_of(out_frame[-1])[out_order[-1]], stars_of(i1))
-        if move <= max_step or depth >= max_depth:
-            out_frame.append(i1)
-            out_order.append(order)
-            out_flags.append(move > max_step)
-            return
-        mid = 0.5 * (b0 + b1)
-        mid_d, mid_stars = frames(np.array([mid]))
-        parts_b.append(np.array([mid]))
-        parts_d.append(mid_d)
-        tied_stars.append(mid_stars[0])
-        i_mid = len(all_stars) + len(tied_stars) - 1
-        advance(b0, mid, i_mid, depth + 1)
-        advance(mid, b1, i1, depth + 1)
-
-    def walk(level: int, k: int, b0: float, b1: float):
-        right, split, rank, count, unique, sigma, far = levels[level]
-        if split[k]:
-            mid = 0.5 * (b0 + b1)
-            walk(level + 1, rank[k], b0, mid)
-            walk(level + 1, count + rank[k], mid, b1)
-        elif unique[k]:
-            out_frame.append(right[k])
-            out_order.append(sigma[k][out_order[-1]])
-            out_flags.append(far[k])
-        else:
-            advance(b0, b1, right[k], level)
-
-    for t, (b0, b1) in enumerate(zip(grid[:-1].tolist(), grid[1:].tolist())):
-        walk(0, t, b0, b1)
-
-    levels.clear()  # free the per-step lists before the output is built
-    frame = np.array(out_frame)
-    if tied_stars:
-        all_stars = np.concatenate([all_stars, np.array(tied_stars)])
-    stars_arr = all_stars[frame[:, None], np.array(out_order)]
-    out_order.clear()
-    d = joined(parts_d)[frame]
+    # pass 2: number the stars along all frames in grid order, where -0.0 precedes +0.0
+    # as a midpoint lies between its ends; frames at one beta are otherwise the same
+    betas_all = np.concatenate(parts_b)
+    key = betas_all if grid[0] <= grid[-1] else -betas_all
+    order = np.lexsort((~np.signbit(key), key))
+    stars, discontinuity = _numbered(np.concatenate(parts_stars)[order], max_step)
+    d = np.concatenate(parts_d)[order]
     d.flags.writeable = False
     return Trajectory(
-        betas=joined(parts_b)[frame],
+        betas=betas_all[order],
         states=tuple(SymmetricState._from_canonical(row) for row in d),
-        stars=stars_arr,
-        e_b=_e_b(stars_arr),
-        discontinuity=np.array(out_flags, dtype=bool),
+        stars=stars,
+        e_b=_e_b(stars),
+        discontinuity=discontinuity,
     )
 
 

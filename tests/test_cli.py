@@ -136,6 +136,9 @@ class TestMalformedInput:
             ["velocity", *XY, "--max-step", "0"],
             ["velocity", *XY, "--divergence-threshold", "nan"],
             ["velocity", *XY, "--divergence-threshold", "-1"],
+            ["sweep", "--family", "twoqubit", "--grid", "0"],
+            ["sweep", "--family", "threequbit", "--grid", "0"],
+            ["sweep", "--family", "dicke", "--n", "-1"],
         ],
     )
     def test_domain_error_is_3(self, capsys, args):
@@ -149,12 +152,26 @@ class TestMalformedInput:
             ["stars", "--dicke", "1100", "3"],
             ["random", "--n", "1100", "--seed", "1"],
             ["measure", "--dicke", "1100", "3"],
+            ["evolve", *XY[:-1], "0:1:1000000000000"],
+            ["velocity", *XY[:-1], "0:1:1000000000000"],
         ],
     )
     def test_resource_error_is_3(self, capsys, args):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_beta_grid_refused_before_allocation(self, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, ["evolve", *self.XY[:-1], "0:1:1000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "bytes" in err
+        assert peak < 16 * 2**20
 
     def test_line_family_grid_forms(self, capsys):
         _, bare, _ = run_cli(capsys, ["sweep", "--family", "twoqubit", "--grid", "4"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -333,8 +334,8 @@ def reference_evolve(h, psi0, betas, max_step=dynamics.MAX_STEP_RAD, max_depth=d
     """The step-by-step evolve: each step matched by Hungarian assignment against the
     numbered stars of the last frame, each midpoint of a bisection computed on its own.
 
-    The former loop, kept as the reference for the level-wise one; inputs are
-    assumed valid.
+    The reference that evolve's two passes, refinement a level at a time and one
+    numbering walk, must equal bit for bit; inputs are assumed valid.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -468,6 +469,26 @@ class TestLevelwiseMatching:
             assert_same_trajectory(st.evolve(h, psi0, grid), reference_evolve(h, psi0, grid))
 
 
+class TestAdjacentFloatGrids:
+    """Grids of two adjacent floats with max_step=1e-300: every midpoint rounds onto an endpoint,
+    so frames share betas, and the trajectory is still the step-by-step one, bit for bit."""
+
+    @pytest.mark.parametrize("pair", [[b, float(np.nextafter(b, math.inf))] for b in (-0.0, 0.1, 0.4, 1.0)] + [[-5e-324, 0.0]])
+    def test_both_directions(self, pair):
+        rng = np.random.default_rng(450)
+        field = f"{sym(3, 'Z', 'Z')} + 0.7*{sym(3, 'X')}"
+        cases = [(XY_HALF, st.dicke_state(2, 0)), (field, st.ghz_state(3)), (field, haar_state(3, rng))]
+        cases.append((lipkin(6, 0.3), st.coherent_state(6, st.QubitState(1.1, 0.7))))
+        for src, psi0 in cases:
+            h = st.build_matrix(parse(src))
+            for grid, max_depth in itertools.product((pair, pair[::-1]), (4, 9)):
+                traj = st.evolve(h, psi0, grid, max_step=1e-300, max_depth=max_depth)
+                want = reference_evolve(h, psi0, grid, max_step=1e-300, max_depth=max_depth)
+                assert set(traj.betas.tolist()) == set(grid)
+                assert_same_trajectory(traj, want)
+                assert np.array_equal(np.signbit(traj.betas), np.signbit(want.betas))  # -0.0 == 0.0 above
+
+
 def unit_rows(rng, shape):
     v = rng.normal(size=(*shape, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -550,7 +571,8 @@ def tied_steps(traj):
 
 
 class TestCallCounts:
-    """The level-wise walk calls the assignment solver only on ties, and the star core once per level."""
+    """evolve calls the star core once per refinement level, and the assignment solver only on ties:
+    at most once when a level needs a tied step's move, once when the numbering pass matches it."""
 
     def test_pair_flow_never_matches(self, calls):
         grid = np.linspace(0.002, math.pi / 2, 2001)
@@ -571,7 +593,17 @@ class TestCallCounts:
         grid = np.linspace(0.0, math.pi / 2, 1501)
         traj = st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), grid)
         assert traj.betas.size == grid.size  # no step was bisected
-        assert calls["match"] == tied_steps(traj) >= 1
+        assert calls["match"] == 2 * tied_steps(traj) >= 2
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_lipkin_coherent_start_once_per_level(self, calls, n):
+        # the first step from the coherent start is tied: its midpoints are still computed a level at a time
+        alpha = float(np.random.default_rng(440 + n).uniform(0.0, 2.0 * math.pi))
+        grid = np.linspace(0.0, 1.5, 61)
+        psi0 = st.coherent_state(n, st.QubitState(1.1, 0.4 + alpha))
+        traj = st.evolve(st.build_matrix(parse(lipkin(n, alpha))), psi0, grid)
+        assert tied_steps(traj) >= 1 and refinement_levels(traj, grid) >= 1
+        assert calls["core"] == 1 + refinement_levels(traj, grid)
 
 
 class TestLongGridMemory:
@@ -602,6 +634,16 @@ class TestArgumentValidation:
         h = st.build_matrix(parse(XY_HALF))
         with pytest.raises(DomainError):
             st.evolve(h, st.dicke_state(2, 0), [0.0, 1.0], max_step=max_step)
+
+    def test_frame_limit(self, monkeypatch):
+        h = st.build_matrix(parse(XY_HALF))
+        frame = 8 + 16 * 3 + 24 * 2  # a beta, a Dicke row and the stars of two qubits
+        monkeypatch.setattr(dynamics, "MAX_MATRIX_BYTES", 100 * frame)
+        assert st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 0.1, 100)).betas.size == 100
+        with pytest.raises(ResourceError, match="bytes"):
+            st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 0.1, 101))
+        with pytest.raises(ResourceError, match="bytes"):  # the grid fits, its refinement does not
+            st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 1.4, 10), max_step=1e-3)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_velocity_divergence_threshold(self, threshold):
