@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Digest the stdout of a fixed list of CLI commands, to compare two checkouts.
+
+Runs ``stellar.cli.main`` in-process, from this checkout's ``src``, over the
+benchmark's CLI commands (``perfbench/workloads.py::cli_commands`` for
+seeds 0-5) and the determinism commands of the tests that list lacks.
+Writes DIR/golden.txt, one line per command: ``sha256  bytes  exit  argv``,
+and each command's stdout to DIR/NNN.out.  Compare two checkouts with
+
+    python scripts/golden_stdout.py --out a    # in one checkout
+    python scripts/golden_stdout.py --out b    # in the other
+    diff a/golden.txt b/golden.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import pathlib
+import shlex
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+XY_HALF = "-0.5*X x Y + -0.5*Y x X"
+
+# tests/test_cli.py::TestDeterminism.COMMANDS, test_criterion_13_cli_determinism and
+# the stars, sweep and measure forms that neither the benchmark nor the tests rerun
+EXTRA = [
+    ["stars", "--ghz", "4"],
+    ["stars", "--tetra", "--format", "csv"],
+    ["random", "--n", "6", "--seed", "42"],
+    ["random", "--n", "4", "--antipodal", "--seed", "7"],
+    ["compose", "--state", "01", "--state", "1"],
+    ["sweep", "--family", "threequbit", "--grid", "9", "--eg"],
+    ["reduce", "--hamiltonian", "sym(X Z P0)", "--beta", "0.7"],
+    ["evolve", "--hamiltonian", "1/sqrt(2)*H(2,3)+1/sqrt(2)*H(0,2)", "--state", "00", "--betas", "0:3.14159:40"],
+    ["velocity", "--hamiltonian", XY_HALF, "--state", "00", "--betas", "0:1.5:40"],
+    ["random", "--n", "8", "--seed", "123456789"],
+    ["stars", "--coherent", "5", "1.1", "0.4", "--format", "csv"],
+    ["stars", "--dicke", "6", "2", "--format", "csv"],
+    ["stars", "--state", "0011", "--format", "csv"],
+    ["sweep", "--family", "rec4", "--grid", "5x7", "--eg"],
+    ["sweep", "--family", "twoqubit", "--grid", "17"],
+    ["measure", "--dicke", "10", "3", "--eb", "--eg", "--format", "json"],
+    ["measure", "--ghz", "5", "--format", "json"],
+    ["measure", "--w", "4", "--eg"],
+]
+
+
+def commands() -> list[list[str]]:
+    """The benchmark's CLI commands for seeds 0-5, then the extra ones, without repeats."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    from workloads import cli_commands
+
+    out: list[list[str]] = []
+    for argv in [argv for seed in range(6) for _, argv in cli_commands(seed)] + EXTRA:
+        if argv not in out:
+            out.append(argv)
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout of one in-process CLI run; stderr is dropped."""
+    from stellar.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue().encode()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="output directory")
+    args = parser.parse_args()
+
+    sys.path.insert(0, str(ROOT / "src"))
+    outdir = pathlib.Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for i, argv in enumerate(commands()):
+        code, stdout = run(argv)
+        (outdir / f"{i:03d}.out").write_bytes(stdout)
+        lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {len(stdout)}  {code}  {shlex.join(argv)}\n")
+    (outdir / "golden.txt").write_text("".join(lines))
+    print(outdir / "golden.txt")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,14 +18,7 @@ import sys
 import numpy as np
 
 from . import composition, dynamics, hamiltonians, measures, stars, states
-from .errors import (
-    DomainError,
-    ExpressionError,
-    NumericError,
-    ResourceError,
-    StellarError,
-    SymmetryViolationError,
-)
+from .errors import DomainError, ExpressionError, ResourceError, StellarError
 
 # the coefficient needs a digit once it has a point, so '.pi' is no angle
 _PI_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
@@ -191,24 +184,19 @@ def _cmd_stars(args) -> int:
 
 def _cmd_measure(args) -> int:
     state = _state_from_args(args)
-    want_eb = args.eb or not args.eg
-    lines = []
-    json_fields = []
-    if want_eb:
-        value = measures.e_b(state)
-        lines.append(f"E_B = {_fmt(value)}")
-        json_fields.append(f'"E_B": {states._format_float(value)}')
+    fields = []
+    if args.eb or not args.eg:
+        fields.append(("E_B", measures.e_b(state)))
     if args.eg:
-        result = measures.e_g(state, grid=args.husimi_grid)
-        lines.append(f"E_G = {_fmt(result.value)}")
-        json_fields.append(f'"E_G": {states._format_float(result.value)}')
-        json_fields.append(f'"EG_witness_theta": {states._format_float(result.witness.theta)}')
-        json_fields.append(f'"EG_witness_phi": {states._format_float(result.witness.phi)}')
-        json_fields.append(f'"EG_overlap": {states._format_float(result.overlap)}')
+        r = measures.e_g(state, grid=args.husimi_grid)
+        fields += [("E_G", r.value), ("EG_witness_theta", r.witness.theta), ("EG_witness_phi", r.witness.phi),
+                   ("EG_overlap", r.overlap)]
     if args.format == "json":
-        _emit(args, "{" + ", ".join(json_fields) + "}\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
+        values = states._floats([value for _, value in fields])
+        text = "{" + ", ".join(f'"{name}": {value}' for (name, _), value in zip(fields, values)) + "}"
+    else:  # the text form reports the measures alone
+        text = "\n".join(f"{name} = {_fmt(value)}" for name, value in fields if name in ("E_B", "E_G"))
+    _emit(args, text + "\n")
     return 0
 
 
@@ -226,33 +214,36 @@ def _cmd_compose(args) -> int:
 _FAMILIES = ("rec4", "twoqubit", "threequbit", "dicke")
 
 
+def _check_sweep_rows(rows: int) -> None:
+    """ResourceError, before anything is computed, if the CSV of rows sweep points could exceed MAX_MATRIX_BYTES."""
+    need = rows * (6 * 24 + len("threequbit") + 7)  # six %.17g numbers, the longest family, six commas, a newline
+    limit = hamiltonians.MAX_MATRIX_BYTES
+    if need > limit:
+        raise ResourceError(f"a sweep of {rows} points needs up to {need} bytes, above the limit of {limit} bytes")
+
+
 def _sweep_rows(args):
     if args.family == "rec4":
         rows, cols = _parse_grid(args.grid)
+        _check_sweep_rows(rows * cols)
         for th in np.linspace(0.0, math.pi / 2.0, rows):
             for ph in np.linspace(0.0, math.pi, cols):
                 yield th, ph, states.rec_family_state(th, ph)
-    elif args.family == "twoqubit":
+    elif args.family in ("twoqubit", "threequbit"):
         count, _ = _parse_grid(args.grid, line=True)
+        _check_sweep_rows(count)
         for th in np.linspace(0.0, math.pi, count):
-            yield th, None, states.symmetrize(
-                [states.QubitState(0.0, 0.0), states.QubitState(th, 0.0)]
-            )
-    elif args.family == "threequbit":
-        count, _ = _parse_grid(args.grid, line=True)
-        for th in np.linspace(0.0, math.pi, count):
-            yield th, None, states.symmetrize(
-                [
-                    states.QubitState(0.0, 0.0),
-                    states.QubitState(th, math.pi),
-                    states.QubitState(th, 0.0),
-                ]
-            )
+            if args.family == "twoqubit":
+                qubits = [states.QubitState(0.0, 0.0), states.QubitState(th, 0.0)]
+            else:
+                qubits = [states.QubitState(0.0, 0.0), states.QubitState(th, math.pi), states.QubitState(th, 0.0)]
+            yield th, None, states.symmetrize(qubits)
     else:  # dicke
         if args.n is None:
             raise DomainError("--family dicke requires --n")
         if args.n < 1:
             raise DomainError(f"--family dicke needs --n of at least 1, got {args.n}")
+        _check_sweep_rows(args.n + 1)
         for k in range(args.n + 1):
             yield float(k), None, states.dicke_state(args.n, k)
 
@@ -260,21 +251,18 @@ def _sweep_rows(args):
 def _cmd_sweep(args) -> int:
     if args.family not in _FAMILIES:
         raise DomainError(f"unknown family {args.family!r}; choose from {', '.join(_FAMILIES)}")
-    fmt = states._format_float
-    lines = ["family,param1,param2,E_B,E_G,EG_witness_theta,EG_witness_phi"]
+    param1, param2, eb, eg = [], [], [], []
     for p1, p2, state in _sweep_rows(args):
-        eb = measures.e_b(state)
+        param1.append(p1)
+        param2.append(p2)
+        eb.append(measures.e_b(state))
         if args.eg:
             r = measures.e_g(state, grid=args.husimi_grid)
-            eg, wt, wp = fmt(r.value), fmt(r.witness.theta), fmt(r.witness.phi)
-        else:
-            eg = wt = wp = ""
-        lines.append(
-            ",".join(
-                [args.family, fmt(p1), "" if p2 is None else fmt(p2), fmt(eb), eg, wt, wp]
-            )
-        )
-    _emit(args, "\n".join(lines) + "\n")
+            eg.append((r.value, r.witness.theta, r.witness.phi))
+    blank = [""] * len(param1)
+    columns = [[args.family] * len(param1), np.array(param1), np.array(param2) if args.family == "rec4" else blank]
+    columns += [np.array(eb), *(np.array(eg).T if args.eg else [blank] * 3)]
+    _emit(args, states._csv("family,param1,param2,E_B,E_G,EG_witness_theta,EG_witness_phi", columns))
     return 0
 
 
@@ -433,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SymmetryViolationError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except StellarError as exc:
+    except StellarError as exc:  # numeric and symmetry errors, and any other
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -53,6 +53,7 @@ def random_state(n: int, rng: np.random.Generator) -> SymmetricState:
     n = int(n)
     if n < 1:
         raise DomainError("n must be positive")
+    _sqrt_binom(n)  # ResourceError for n >= 1030 before any draw
     return symmetrize([random_qubit(rng) for _ in range(n)])
 
 
@@ -61,6 +62,7 @@ def random_antipodal_state(n: int, rng: np.random.Generator) -> SymmetricState:
     n = int(n)
     if n < 1 or n % 2:
         raise DomainError(f"antipodal ensemble needs an even qubit count, got {n}")
+    _sqrt_binom(n)  # ResourceError for n >= 1030 before any draw
     parts: list[QubitState] = []
     for _ in range(n // 2):
         q = random_qubit(rng)

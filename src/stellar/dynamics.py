@@ -20,7 +20,7 @@ from .errors import DomainError, NumericError, ResourceError, SymmetryViolationE
 from .hamiltonians import MAX_MATRIX_BYTES, HermitianOperator
 from .measures import _e_b
 from .stars import _angles, _star_vectors_batch
-from .states import SymmetricState, _canonical, _dicke_isometry, _format_float, _transposition_deficit
+from .states import SymmetricState, _canonical, _complex_json, _csv, _dicke_isometry, _floats, _transposition_deficit
 
 __all__ = [
     "TransitionBasis",
@@ -225,9 +225,16 @@ def _chunk_rows(n: int) -> int:
     return max(1, 2**18 // n**2)
 
 
+def _frame_bytes(n: int) -> int:
+    """Bytes per frame at the peak of ``evolve``: the arrays (beta, Dicke row, stars) thrice, as pass-1 parts,
+    their concatenation and its copy in grid order, and a SymmetricState with its attribute dict, row view and
+    slot in a tuple (264 bytes on CPython 3.11)."""
+    return 3 * (8 + 16 * (n + 1) + 24 * n) + 264
+
+
 def _check_frames(count: int, n: int) -> None:
-    """ResourceError, before allocating, if count frames (beta, Dicke row, stars) exceed MAX_MATRIX_BYTES."""
-    need = count * (8 + 16 * (n + 1) + 24 * n)
+    """ResourceError, before allocating, if count frames exceed MAX_MATRIX_BYTES."""
+    need = count * _frame_bytes(n)
     if need > MAX_MATRIX_BYTES:
         raise ResourceError(
             f"{count} frames on {n} qubits need {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
@@ -411,48 +418,29 @@ def e_b_profile(traj: Trajectory) -> np.ndarray:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    lines = ["beta,star_index,theta,phi,x,y,z,e_b"]
+    """CSV of every star at every frame: beta,star_index,theta,phi,x,y,z,e_b, numbers as ``_floats`` writes them."""
+    m, n = traj.stars.shape[:2]
     thetas, phis = _angles(traj.stars)
-    for t, beta in enumerate(traj.betas):
-        for i in range(traj.stars.shape[1]):
-            x, y, z = traj.stars[t, i]
-            lines.append(
-                ",".join(
-                    [_format_float(beta), str(i)]
-                    + [_format_float(v) for v in (thetas[t, i], phis[t, i], x, y, z, traj.e_b[t])]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "beta,star_index,theta,phi,x,y,z,e_b",
+        [np.repeat(traj.betas, n), [str(i) for i in range(n)] * m, thetas.ravel(), phis.ravel(),
+         *traj.stars.reshape(-1, 3).T, np.repeat(traj.e_b, n)],
+    )
 
 
 def velocity_to_csv(profile: VelocityProfile) -> str:
-    lines = ["beta,star_index,dtheta_dbeta,flag"]
-    for t, beta in enumerate(profile.betas):
-        for i in range(profile.dtheta.shape[1]):
-            lines.append(
-                ",".join(
-                    [
-                        _format_float(beta),
-                        str(i),
-                        _format_float(profile.dtheta[t, i]),
-                        "1" if profile.flags[t, i] else "0",
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _complex_matrix_json(m: np.ndarray) -> str:
-    rows = []
-    for row in m:
-        rows.append(
-            "[" + ", ".join(f"[{_format_float(z.real)}, {_format_float(z.imag)}]" for z in row) + "]"
-        )
-    return "[" + ", ".join(rows) + "]"
+    """CSV of every star's dtheta/dbeta at every frame, flag 1 where it is untrustworthy."""
+    m, n = profile.dtheta.shape
+    return _csv(
+        "beta,star_index,dtheta_dbeta,flag",
+        [np.repeat(profile.betas, n), [str(i) for i in range(n)] * m, profile.dtheta.ravel(),
+         ["01"[f] for f in profile.flags.ravel().tolist()]],
+    )
 
 
 def block_to_json(block: BlockDecomposition) -> str:
+    """{"n", "offblock_norm", "V", "W"} with V and W as complex matrices written by ``_complex_json``."""
     return (
-        f'{{"n": {block.n}, "offblock_norm": {_format_float(block.offblock_norm)}, '
-        f'"V": {_complex_matrix_json(block.V)}, "W": {_complex_matrix_json(block.W)}}}'
+        f'{{"n": {block.n}, "offblock_norm": {_floats(block.offblock_norm)[0]}, '
+        f'"V": {_complex_json(block.V)}, "W": {_complex_json(block.W)}}}'
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import SymmetricState, _format_float, _sqrt_binom, _state_from_pairs
+from .states import SymmetricState, _csv, _floats, _sqrt_binom, _state_from_pairs
 
 __all__ = [
     "Star",
@@ -451,9 +451,9 @@ def stars_to_state(c: Constellation) -> SymmetricState:
 
 
 def constellation_to_json(c: Constellation) -> str:
-    entries = ", ".join(
-        f'{{"theta": {_format_float(s.theta)}, "phi": {_format_float(s.phi)}}}' for s in c.stars
-    )
+    """{"n": ..., "stars": [{"theta": ..., "phi": ...}, ...]}, numbers as ``_floats`` writes them."""
+    thetas, phis = _floats([s.theta for s in c.stars]), _floats([s.phi for s in c.stars])
+    entries = ", ".join(f'{{"theta": {t}, "phi": {p}}}' for t, p in zip(thetas, phis))
     return f'{{"n": {c.n}, "stars": [{entries}]}}'
 
 
@@ -470,12 +470,9 @@ def constellation_from_json(text: str) -> Constellation:
 
 
 def constellation_to_csv(c: Constellation) -> str:
-    lines = ["star_index,theta,phi,x,y,z"]
-    for i, s in enumerate(c.stars):
-        lines.append(
-            ",".join(
-                [str(i)]
-                + [_format_float(v) for v in (s.theta, s.phi, s.x, s.y, s.z)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """CSV of the stars in stored order: star_index,theta,phi,x,y,z, numbers as ``_floats`` writes them."""
+    return _csv(
+        "star_index,theta,phi,x,y,z",
+        [[str(i) for i in range(c.n)], np.array([s.theta for s in c.stars]), np.array([s.phi for s in c.stars]),
+         *c.as_array().T],
+    )

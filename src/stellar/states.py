@@ -71,8 +71,28 @@ def _sqrt_binom(n: int) -> np.ndarray:
     return c
 
 
-def _format_float(x: float) -> str:
-    return f"{x + 0.0:.17g}"  # +0.0 folds -0.0 into 0.0
+def _floats(a) -> list[str]:
+    """Each float of ``a`` as ``%.17g`` text, -0.0 folded into 0.0: the numbers of all CSV and JSON output."""
+    return ["%.17g" % x for x in (np.asarray(a, dtype=float).ravel() + 0.0).tolist()]
+
+
+_CSV_ROWS = 4096  # rows formatted at a time: the cells of one chunk are all that is held besides the text
+
+
+def _csv(header: str, columns: Sequence) -> str:
+    """CSV under ``header`` of equal-length columns: lists of strings as given, float arrays by ``_floats``."""
+    parts = [header]
+    for i in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [c[i : i + _CSV_ROWS] if isinstance(c, list) else _floats(c[i : i + _CSV_ROWS]) for c in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(parts) + "\n"
+
+
+def _complex_json(a: np.ndarray) -> str:
+    """JSON of a complex vector as [[re, im], ...], or of a matrix as a list of such rows."""
+    if a.ndim == 2:
+        return "[" + ", ".join(map(_complex_json, a)) + "]"
+    return "[" + ", ".join(f"[{re}, {im}]" for re, im in zip(_floats(a.real), _floats(a.imag))) + "]"
 
 
 @dataclass(frozen=True)
@@ -272,9 +292,17 @@ def _pair_product_coeffs(pairs: Sequence[tuple[complex, complex]]) -> np.ndarray
 
 
 def _state_from_pairs(pairs: Sequence[tuple[complex, complex]]) -> SymmetricState:
+    """The symmetrized product of the qubits (a_j, b_j); n >= 1030 is refused before the product.
+
+    The row is scaled exactly, by the power of two that brings its largest entry into [0.5, 1), so the
+    squares of its norm cannot underflow (the row of about 750 or more generic qubits is below 1e-154).
+    """
     n = len(pairs)
-    e = _pair_product_coeffs(pairs)
-    return SymmetricState(n, e / _sqrt_binom(n))
+    sqrt_binom = _sqrt_binom(n)  # before the O(n**2) product
+    d = _pair_product_coeffs(pairs) / sqrt_binom
+    k = -int(np.frexp(np.abs(d).max())[1])
+    d.real, d.imag = np.ldexp(d.real, k), np.ldexp(d.imag, k)
+    return SymmetricState(n, d)
 
 
 def symmetrize(parts: Sequence[QubitState]) -> SymmetricState:
@@ -495,11 +523,8 @@ def nk_to_jm(n: int, k: int) -> tuple[float, float]:
 
 
 def state_to_json(state: SymmetricState) -> str:
-    """Serialize as {"n": ..., "dicke": [[re, im], ...]} with 17 significant digits."""
-    pairs = ", ".join(
-        f"[{_format_float(z.real)}, {_format_float(z.imag)}]" for z in state.d
-    )
-    return f'{{"n": {state.n}, "dicke": [{pairs}]}}'
+    """Serialize as {"n": ..., "dicke": [[re, im], ...]}, each number written by ``_floats``."""
+    return f'{{"n": {state.n}, "dicke": {_complex_json(state.d)}}}'
 
 
 def state_from_json(text: str) -> SymmetricState:

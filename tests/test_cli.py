@@ -154,12 +154,54 @@ class TestMalformedInput:
             ["measure", "--dicke", "1100", "3"],
             ["evolve", *XY[:-1], "0:1:1000000000000"],
             ["velocity", *XY[:-1], "0:1:1000000000000"],
+            ["random", "--n", "20000", "--seed", "1"],
+            ["random", "--n", "20000", "--antipodal", "--seed", "1"],
+            ["sweep", "--family", "rec4", "--grid", "2x100000000"],
+            ["sweep", "--family", "twoqubit", "--grid", "100000000"],
+            ["sweep", "--family", "threequbit", "--grid", "100000000", "--eg"],
+            ["sweep", "--family", "dicke", "--n", "100000000"],
         ],
     )
     def test_resource_error_is_3(self, capsys, args):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    # sizes just above the limits, so that a late check fails fast on the first counted call
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["random", "--n", "1030", "--seed", "1"],
+            ["random", "--n", "1030", "--antipodal", "--seed", "1"],
+            ["sweep", "--family", "rec4", "--grid", "2x3334624"],
+            ["sweep", "--family", "rec4", "--grid", "3334624x2"],
+            ["sweep", "--family", "twoqubit", "--grid", "6669247"],
+            ["sweep", "--family", "threequbit", "--grid", "6669247"],
+        ],
+    )
+    def test_refused_before_work(self, capsys, monkeypatch, args):
+        calls = []
+
+        def counted(name):
+            def call(*a, **k):
+                calls.append(name)
+                raise AssertionError(f"{name} called on a refused input")
+
+            return call
+
+        for module, name in ((st.composition, "random_qubit"), (st.states, "_pair_product_coeffs"),
+                             (st.states, "rec_family_state")):
+            monkeypatch.setattr(module, name, counted(name))
+        code, out, err = run_cli(capsys, args)
+        assert (code, out, calls) == (3, "", [])
+        assert "bytes" in err or "float range" in err
+
+    def test_sweep_row_limit(self):
+        from stellar.cli import _check_sweep_rows
+
+        _check_sweep_rows(2**30 // 161)
+        with pytest.raises(st.ResourceError):
+            _check_sweep_rows(2**30 // 161 + 1)
 
     def test_huge_beta_grid_refused_before_allocation(self, capsys):
         import tracemalloc
@@ -271,6 +313,11 @@ class TestDeterminism:
 
 
 class TestRandomCommand:
+    def test_many_qubits(self, capsys):
+        code, out, _ = run_cli(capsys, ["random", "--n", "800", "--seed", "1"])
+        d = np.array([complex(*z) for z in json.loads(out)["dicke"]])
+        assert code == 0 and abs(np.linalg.norm(d) - 1.0) <= 1e-12
+
     def test_seed_embedded_in_output(self, capsys):
         code, out, _ = run_cli(capsys, ["random", "--n", "4", "--seed", "42"])
         doc = json.loads(out)

@@ -5,7 +5,7 @@ import pytest
 from conftest import haar_state, uniform_qubit
 
 import stellar as st
-from stellar.errors import DomainError
+from stellar.errors import DomainError, ResourceError
 
 RNG = np.random.default_rng(1234)
 
@@ -89,6 +89,19 @@ class TestRandomStates:
     def test_invalid_count(self):
         with pytest.raises(DomainError):
             st.random_state(0, st.make_rng(1))
+
+    @pytest.mark.parametrize("n,seed", [(800, 0), (800, 1), (800, 2), (1029, 3)])
+    def test_many_qubits(self, n, seed):
+        # the Dicke row of so many generic qubits is below 1e-154 before it is normalized
+        s = st.random_state(n, st.make_rng(seed))
+        assert abs(np.linalg.norm(s.d) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("sampler", [st.random_state, st.random_antipodal_state])
+    def test_size_refused_before_drawing(self, sampler):
+        rng = st.make_rng(5)
+        with pytest.raises(ResourceError):
+            sampler(20000, rng)
+        assert rng.random() == st.make_rng(5).random()  # nothing was drawn
 
 
 class TestAntipodalEnsemble:

@@ -628,6 +628,24 @@ class TestLongGridMemory:
         assert peak <= self.STEP_BY_STEP_PEAK
 
 
+class TestFrameCount:
+    def test_peak_within_counted_bytes(self):
+        """The frame limit counts at least the bytes per frame that a long run peaks at."""
+        import tracemalloc
+
+        h = st.build_matrix(parse(XY_HALF))
+        st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 1.5, 200))  # warm the caches
+        frames = 100_000
+        tracemalloc.start()
+        try:
+            traj = st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 1.5, frames))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.betas.size == frames
+        assert peak / frames <= dynamics._frame_bytes(2)
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("max_step", [math.nan, math.inf, 0.0, -1.0])
     def test_evolve_max_step(self, max_step):
@@ -637,7 +655,7 @@ class TestArgumentValidation:
 
     def test_frame_limit(self, monkeypatch):
         h = st.build_matrix(parse(XY_HALF))
-        frame = 8 + 16 * 3 + 24 * 2  # a beta, a Dicke row and the stars of two qubits
+        frame = 3 * (8 + 16 * 3 + 24 * 2) + 264  # a beta, a Dicke row and two stars, thrice, and a SymmetricState
         monkeypatch.setattr(dynamics, "MAX_MATRIX_BYTES", 100 * frame)
         assert st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 0.1, 100)).betas.size == 100
         with pytest.raises(ResourceError, match="bytes"):

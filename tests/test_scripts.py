@@ -1,7 +1,10 @@
 """The dataset export scripts, run in-process at small sizes."""
 
+import hashlib
+import importlib.util
 import pathlib
 import runpy
+import shlex
 import sys
 
 import pytest
@@ -62,3 +65,37 @@ def test_ghz3_interpolation(tmp_path, monkeypatch):
     assert lines[0] == "beta,star_index,theta,phi,e_b"
     assert len(lines) == 1 + 7 * 3
     assert [line.split(",")[1] for line in lines[1:4]] == ["0", "1", "2"]
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_stdout(tmp_path, monkeypatch, capsys):
+    from stellar.cli import main
+
+    golden = load_script("golden_stdout")
+    argvs = [["stars", "--ghz", "3"], ["measure", "--dicke", "4", "9"]]
+    monkeypatch.setattr(golden, "commands", lambda: argvs)
+    monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(tmp_path)])
+    golden.main()
+    capsys.readouterr()
+    lines = (tmp_path / "golden.txt").read_text().splitlines()
+    assert len(lines) == 2
+    for i, (line, argv) in enumerate(zip(lines, argvs)):
+        code = main(argv)
+        stdout = capsys.readouterr().out.encode()
+        assert line == f"{hashlib.sha256(stdout).hexdigest()}  {len(stdout)}  {code}  {shlex.join(argv)}"
+        assert (tmp_path / f"{i:03d}.out").read_bytes() == stdout
+    assert lines[1].split("  ")[1:3] == ["0", "3"]  # the domain error prints nothing and exits 3
+
+
+def test_golden_stdout_covers_determinism_commands():
+    from test_cli import TestDeterminism
+
+    listed = load_script("golden_stdout").commands()
+    assert all(argv in listed for argv in TestDeterminism.COMMANDS)
+    assert len(listed) == len({tuple(argv) for argv in listed})

@@ -60,6 +60,10 @@ class TestDicke:
 
 
 class TestSymmetrize:
+    def test_many_copies_are_coherent(self):
+        q = st.QubitState(1.1, 0.4)
+        assert np.abs(st.symmetrize([q] * 800).d - st.coherent_state(800, q).d).max() <= 1e-12
+
     def test_up_down_gives_bell(self):
         s = st.symmetrize([st.QubitState(0, 0), st.QubitState(math.pi, 0)])
         assert np.allclose(s.d, [0, 1, 0], atol=1e-15)
