@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import composition, dynamics, hamiltonians, measures, stars, states
-from .errors import DomainError, ExpressionError, ResourceError, StellarError
+from .errors import DomainError, ExpressionError, ResourceError, StellarError, _check_bytes
 
 # the coefficient needs a digit once it has a point, so '.pi' is no angle
 _PI_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
@@ -216,10 +216,8 @@ _FAMILIES = ("rec4", "twoqubit", "threequbit", "dicke")
 
 def _check_sweep_rows(rows: int) -> None:
     """ResourceError, before anything is computed, if the CSV of rows sweep points could exceed MAX_MATRIX_BYTES."""
-    need = rows * (6 * 24 + len("threequbit") + 7)  # six %.17g numbers, the longest family, six commas, a newline
-    limit = hamiltonians.MAX_MATRIX_BYTES
-    if need > limit:
-        raise ResourceError(f"a sweep of {rows} points needs up to {need} bytes, above the limit of {limit} bytes")
+    # six %.17g numbers, the longest family, six commas, a newline
+    _check_bytes(rows * (6 * 24 + len("threequbit") + 7), f"a sweep of {rows} points needs up to")
 
 
 def _sweep_rows(args):

@@ -51,8 +51,6 @@ def compose(a: SymmetricState, b: SymmetricState) -> SymmetricState:
 def random_state(n: int, rng: np.random.Generator) -> SymmetricState:
     """Composition of n independent uniform-on-sphere single-qubit states."""
     n = int(n)
-    if n < 1:
-        raise DomainError("n must be positive")
     _sqrt_binom(n)  # ResourceError for n >= 1030 before any draw
     return symmetrize([random_qubit(rng) for _ in range(n)])
 

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, SymmetryViolationError
-from .hamiltonians import MAX_MATRIX_BYTES, HermitianOperator
+from .errors import DomainError, NumericError, SymmetryViolationError, _check_bytes
+from .hamiltonians import HermitianOperator, _check_hermitian
 from .measures import _e_b
-from .stars import _angles, _star_vectors_batch
+from .stars import _angles, _geodesic, _star_vectors_batch
 from .states import SymmetricState, _canonical, _complex_json, _csv, _dicke_isometry, _floats, _transposition_deficit
 
 __all__ = [
@@ -113,21 +113,36 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     the same deficit bit for bit.
     """
     m = np.ascontiguousarray(matrix)
-    if not np.isfinite(m).all():
-        raise DomainError("matrix has non-finite entries")
+    _check_finite(m)
     return _transposition_deficit(m, n)
 
 
-def _as_matrix(h: HermitianOperator | np.ndarray) -> tuple[np.ndarray, int]:
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
+
+
+def _as_matrix(h: HermitianOperator | np.ndarray, check) -> tuple[np.ndarray, int]:
+    """The matrix of h and its qubit count.
+
+    A HermitianOperator passed its check when it was made; an ndarray, not
+    copied, must be 2^n x 2^n and pass ``check`` (a DomainError if not).
+    """
     if isinstance(h, HermitianOperator):
-        return np.asarray(h.matrix), h.n
+        return h.matrix, h.n
     m = np.asarray(h, dtype=np.complex128)
     dim = m.shape[0] if m.ndim == 2 else 0
     if m.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise DomainError(f"matrix shape {m.shape} is not 2^n x 2^n")
-    if not np.isfinite(m).all():
-        raise DomainError("matrix has non-finite entries")
+    check(m)
     return m, dim.bit_length() - 1
+
+
+def _check_unitary(u: np.ndarray, what: str) -> None:
+    """NumericError if the square matrix u is further than 1e-10 from unitary; ``what`` names it."""
+    deficit = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max(initial=0.0))
+    if deficit > 1e-10:
+        raise NumericError(f"{what} lost unitarity (deficit {deficit:.3e} > 1e-10)")
 
 
 def build_transition(n: int) -> TransitionBasis:
@@ -139,11 +154,7 @@ def build_transition(n: int) -> TransitionBasis:
     n = int(n)
     if n < 1:
         raise DomainError(f"a transition basis needs at least one qubit, got {n}")
-    need = 16 * 4**n
-    if need > MAX_MATRIX_BYTES:
-        raise ResourceError(
-            f"a {n}-qubit transition basis needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
-        )
+    _check_bytes(16 * 4**n, f"a {n}-qubit transition basis needs")
     iso = _dicke_isometry(n)
     t = np.zeros((2**n, 2**n), dtype=np.complex128)
     t[:, : n + 1] = iso
@@ -161,18 +172,13 @@ def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
     """exp(-i * beta * H) through the Hermitian eigendecomposition."""
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    m, _ = _as_matrix(h)
-    deficit = float(np.abs(m - m.conj().T).max())
-    if deficit > 1e-12:
-        raise DomainError(f"exponentiate needs a Hermitian matrix (deficit {deficit:.3e} > 1e-12)")
+    m, _ = _as_matrix(h, _check_hermitian)
     try:
         lam, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     u = (q * np.exp(-1j * beta * lam)) @ q.conj().T
-    unit_deficit = float(np.abs(u @ u.conj().T - np.eye(m.shape[0])).max())
-    if unit_deficit > 1e-10:
-        raise NumericError(f"exponentiate lost unitarity (deficit {unit_deficit:.3e} > 1e-10)")
+    _check_unitary(u, "exponentiate")
     return u
 
 
@@ -186,7 +192,7 @@ def reduce_unitary(
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and non-negative, got {tol}")
-    u, n = _as_matrix(u)
+    u, n = _as_matrix(u, _check_finite)
     t = basis.matrix if basis is not None else build_transition(n).matrix
     up = t.conj().T @ u @ t
     s = n + 1
@@ -199,11 +205,8 @@ def reduce_unitary(
             off,
         )
     v, w = up[:s, :s].copy(), up[s:, s:].copy()
-    for name, block in (("V", v), ("W", w)):
-        if block.size:
-            deficit = float(np.abs(block @ block.conj().T - np.eye(block.shape[0])).max())
-            if deficit > 1e-10:
-                raise NumericError(f"reduce block {name} lost unitarity (deficit {deficit:.3e} > 1e-10)")
+    _check_unitary(v, "reduce block V")
+    _check_unitary(w, "reduce block W")
     return BlockDecomposition(n, v, w, off)
 
 
@@ -215,7 +218,7 @@ def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     """
     from scipy.optimize import linear_sum_assignment  # deferred: most CLI commands never match stars
 
-    cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
+    cost = _geodesic(prev, new)
     rows, order = linear_sum_assignment(cost)
     return order, float(cost[rows, order].max())
 
@@ -234,11 +237,7 @@ def _frame_bytes(n: int) -> int:
 
 def _check_frames(count: int, n: int) -> None:
     """ResourceError, before allocating, if count frames exceed MAX_MATRIX_BYTES."""
-    need = count * _frame_bytes(n)
-    if need > MAX_MATRIX_BYTES:
-        raise ResourceError(
-            f"{count} frames on {n} qubits need {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
-        )
+    _check_bytes(count * _frame_bytes(n), f"{count} frames on {n} qubits need")
 
 
 def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +250,7 @@ def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     reaches the sum of the row minima, so sigma[k] is the only optimal one
     and ``_match(left[k][p], right[k])`` returns ``sigma[k][p]`` for every
     numbering p.  Any assignment moves some star at least ``move[k]``.
-    The costs are those ``_match`` computes, in ``_chunk_rows`` chunks.
+    The costs are ``_geodesic``'s, as in ``_match``, in ``_chunk_rows`` chunks.
     """
     m, n = left.shape[:2]
     sigma = np.empty((m, n), dtype=np.intp)
@@ -260,7 +259,7 @@ def _nearest(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rows = _chunk_rows(n)
     for i in range(0, m, rows):
         part = slice(i, i + rows)
-        cost = np.arccos(np.clip(left[part] @ right[part].swapaxes(1, 2), -1.0, 1.0))
+        cost = _geodesic(left[part], right[part])
         sigma[part] = cost.argmin(axis=2)
         if n > 1:
             cost.partition(1, axis=2)
@@ -313,7 +312,7 @@ def evolve(
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise DomainError(f"max_step must be finite and positive, got {max_step}")
-    m, n = _as_matrix(h)
+    m, n = _as_matrix(h, _check_hermitian)
     if n != psi0.n:
         raise DomainError(f"Hamiltonian acts on {n} qubits, state has {psi0.n}")
     deficit = _transposition_deficit(m, n)  # m is finite: checked where it was made

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one byte budget."""
+
+# the most bytes one dense array or one output may take: a complex 2^n x 2^n matrix up to n = 13
+MAX_MATRIX_BYTES = 2**30
 
 
 class StellarError(Exception):
@@ -11,6 +14,12 @@ class DomainError(StellarError, ValueError):
 
 class ResourceError(StellarError):
     """The request exceeds a hard size limit (dense matrices, permanents)."""
+
+
+def _check_bytes(need: int, what: str) -> None:
+    """ResourceError, before anything is allocated, if ``need`` bytes exceed MAX_MATRIX_BYTES; ``what`` ends in a verb."""
+    if need > MAX_MATRIX_BYTES:
+        raise ResourceError(f"{what} {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes")
 
 
 class NumericError(StellarError):

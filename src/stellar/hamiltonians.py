@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExpressionSemanticError, ExpressionSyntaxError, ResourceError
+from .errors import MAX_MATRIX_BYTES, DomainError, ExpressionSemanticError, ExpressionSyntaxError, _check_bytes
 
 __all__ = [
     "TensorTerm",
@@ -40,6 +40,7 @@ __all__ = [
     "pretty",
     "build_matrix",
     "FACTORS",
+    "MAX_MATRIX_BYTES",
 ]
 
 FACTORS = {
@@ -52,9 +53,6 @@ FACTORS = {
 }
 
 _PAULI = ("I", "X", "Y", "Z")
-
-# the largest dense matrix build_matrix allocates: 16 * 4^n bytes for n qubits
-MAX_MATRIX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -317,20 +315,27 @@ class HermitianOperator:
             raise DomainError(f"matrix shape {m.shape} does not match {self.n} qubits")
         if m.flags.writeable or not m.flags.owndata:
             m = m.copy()
-        # row panels against the matching column panels: the temporaries stay
-        # near 1 MiB, and the max over all entries is the same
-        dim = m.shape[0]
-        panel = max(1, 2**16 // dim)
-        deficit = 0.0
-        for r in range(0, dim, panel):
-            rows = m[r : r + panel]
-            if not np.isfinite(rows).all():
-                raise DomainError("matrix has non-finite entries")
-            deficit = max(deficit, float(np.abs(rows - m[:, r : r + panel].conj().T).max()))
-        if deficit > 1e-12:
-            raise DomainError(f"matrix is not Hermitian (deficit {deficit:.3e})")
+        _check_hermitian(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """DomainError unless the square matrix m is finite and Hermitian to 1e-12; m is not copied.
+
+    Row panels are compared with the matching column panels: the temporaries
+    stay near 1 MiB, and the max over all entries is the same.
+    """
+    dim = m.shape[0]
+    panel = max(1, 2**16 // dim)
+    deficit = 0.0
+    for r in range(0, dim, panel):
+        rows = m[r : r + panel]
+        if not np.isfinite(rows).all():
+            raise DomainError("matrix has non-finite entries")
+        deficit = max(deficit, float(np.abs(rows - m[:, r : r + panel].conj().T).max()))
+    if deficit > 1e-12:
+        raise DomainError(f"matrix is not Hermitian (deficit {deficit:.3e})")
 
 
 def _arrangements(factors: tuple[str, ...]):
@@ -391,11 +396,7 @@ def build_matrix(expr: HamiltonianExpr) -> HermitianOperator:
     once, so the result does not depend on how the strings are grouped.
     """
     n = expr.arity
-    need = 16 * 4**n
-    if need > MAX_MATRIX_BYTES:
-        raise ResourceError(
-            f"a dense {n}-qubit matrix needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
-        )
+    _check_bytes(16 * 4**n, f"a dense {n}-qubit matrix needs")
     rows = np.arange(2**n)
     bits = [(rows >> (n - 1 - q)) & 1 for q in range(n)]
     total = np.zeros((2**n, 2**n), dtype=np.complex128)

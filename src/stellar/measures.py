@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResourceError
-from .hamiltonians import MAX_MATRIX_BYTES
+from .errors import ConvergenceError, DomainError, _check_bytes
 from .stars import Constellation, Star, _star_vectors
 from .states import QubitState, SymmetricState, _sqrt_binom, rec_family_state, symmetrize
 
@@ -298,11 +297,7 @@ def e_g(
     gbar = _husimi_weights(state)
     n = state.n
     # amplitudes, values and sort order per point; theta and phi tables
-    need = 32 * n_th * n_ph + 16 * (n + 1) * (n_th + n_ph)
-    if need > MAX_MATRIX_BYTES:
-        raise ResourceError(
-            f"a {n_th}x{n_ph} Husimi grid needs {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes"
-        )
+    _check_bytes(32 * n_th * n_ph + 16 * (n + 1) * (n_th + n_ph), f"a {n_th}x{n_ph} Husimi grid needs")
     eps = float(np.finfo(float).eps)
     # sum_k |gbar_k| T_k(theta) <= |d| = 1 by Cauchy-Schwarz, so the gradient's round-off is O(n^2 eps)
     gtol = max(_GTOL, 4.0 * eps * n * n)

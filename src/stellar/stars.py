@@ -38,9 +38,9 @@ __all__ = [
     "constellation_to_csv",
 ]
 
-# Coefficients below this relative size count as exact zeros, i.e. roots
-# pinned to a pole.  The induced state perturbation is ~1e-13, far inside
-# every round-trip tolerance.
+# An end coefficient at most this times its inner neighbour counts as an
+# exact zero, i.e. a root pinned to a pole.  The induced state perturbation
+# is ~1e-13, far inside every round-trip tolerance.
 _STRIP_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
 
@@ -140,6 +140,11 @@ class Constellation:
         return np.array([s.as_array() for s in self.stars])
 
 
+def _geodesic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Great-circle distances between the unit vectors a (..., k, 3) and b (..., l, 3), shape (..., k, l)."""
+    return np.arccos(np.clip(a @ b.swapaxes(-1, -2), -1.0, 1.0))
+
+
 def geodesic_distance(a: Star, b: Star) -> float:
     """Great-circle distance between two stars, in radians."""
     u, v = a.as_array(), b.as_array()
@@ -165,23 +170,24 @@ class MajoranaPolynomial:
         return self.n - self.degree
 
 
-def _pole_strip(mags: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, last) non-negligible coefficient of each row of |coefficients| (m, n+1).
+def _pole_strip(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) non-negligible coefficient of each nonzero row of |coefficients| (m, n+1).
 
-    ``scale`` (m, 1) is each row's largest magnitude.  The ``first``
-    vanishing leading coefficients are stars at the south pole and the
-    ``n - last`` vanishing trailing ones stars at the north.
+    From each end, a coefficient is stripped while it is at most ``_STRIP_TOL``
+    times its inner neighbour: those of k stars near a pole fall like r**k, so
+    only the ratio tells a star on the pole from one near it.  The ``first``
+    leading ones are stars at the south pole, the ``n - last`` trailing ones at the north.
     """
-    keep = mags >= _STRIP_TOL * scale
-    return keep.argmax(axis=1), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
+    lead = np.logical_and.accumulate(mags[:, :-1] <= _STRIP_TOL * mags[:, 1:], axis=1).sum(axis=1)
+    trail = np.logical_and.accumulate(mags[:, :0:-1] <= _STRIP_TOL * mags[:, -2::-1], axis=1).sum(axis=1)
+    return lead, mags.shape[1] - 1 - trail
 
 
 def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
     """Coefficients and effective degree of the state's star polynomial."""
     n = state.n
     coeffs = _sqrt_binom(n) * state.d
-    mags = np.abs(coeffs)[None]
-    first = int(_pole_strip(mags, mags.max(axis=1, keepdims=True))[0][0])
+    first = int(_pole_strip(np.abs(coeffs)[None])[0][0])
     coeffs.flags.writeable = False
     return MajoranaPolynomial(n, coeffs, n - first)
 
@@ -349,7 +355,7 @@ def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarr
     n = len(v)
     if n < 2:
         return v
-    dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+    dist = _geodesic(v, v)
     np.fill_diagonal(dist, np.inf)
     frozen = np.zeros(n, dtype=bool)  # members of an accepted collapse
     tried: set[bytes] = set()
@@ -383,7 +389,7 @@ def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarr
             if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, d)) >= 1.0 - 1e-12:
                 v = trial
                 frozen[comp] = True
-                dist = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+                dist = _geodesic(v, v)
                 np.fill_diagonal(dist, np.inf)
                 reach = np.sort(dist, axis=1).min(axis=0)
     return v
@@ -403,7 +409,7 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     coeffs = _signed_sqrt_binom(n) * d  # index k multiplies w^(n-k)
     mags = np.abs(coeffs)
     scale = mags.max(axis=1, keepdims=True)  # > 0 for normalized rows
-    first, last = _pole_strip(mags, scale)
+    first, last = _pole_strip(mags)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(first.tolist(), last.tolist())):
         groups.setdefault(key, []).append(i)
@@ -452,8 +458,8 @@ def stars_to_state(c: Constellation) -> SymmetricState:
 
 def constellation_to_json(c: Constellation) -> str:
     """{"n": ..., "stars": [{"theta": ..., "phi": ...}, ...]}, numbers as ``_floats`` writes them."""
-    thetas, phis = _floats([s.theta for s in c.stars]), _floats([s.phi for s in c.stars])
-    entries = ", ".join(f'{{"theta": {t}, "phi": {p}}}' for t, p in zip(thetas, phis))
+    thetas, phis = _angles(c.as_array())
+    entries = ", ".join(f'{{"theta": {t}, "phi": {p}}}' for t, p in zip(_floats(thetas), _floats(phis)))
     return f'{{"n": {c.n}, "stars": [{entries}]}}'
 
 
@@ -471,8 +477,5 @@ def constellation_from_json(text: str) -> Constellation:
 
 def constellation_to_csv(c: Constellation) -> str:
     """CSV of the stars in stored order: star_index,theta,phi,x,y,z, numbers as ``_floats`` writes them."""
-    return _csv(
-        "star_index,theta,phi,x,y,z",
-        [[str(i) for i in range(c.n)], np.array([s.theta for s in c.stars]), np.array([s.phi for s in c.stars]),
-         *c.as_array().T],
-    )
+    v = c.as_array()
+    return _csv("star_index,theta,phi,x,y,z", [[str(i) for i in range(c.n)], *_angles(v), *v.T])

@@ -167,19 +167,32 @@ class SymmetricState:
         return state
 
 
-def _canonical(d: np.ndarray) -> np.ndarray:
-    """Dicke rows (m, n+1) normalized, each first non-negligible coefficient real positive.
+def _unit_rows(d: np.ndarray) -> np.ndarray:
+    """Complex rows d (m, k) divided, in place, by their norms; DomainError for a non-finite or all-zero row.
 
-    The one home of the global-phase convention; raises DomainError for a
-    non-finite or zero row.
+    Each row is first scaled exactly, by the power of two that brings its
+    largest real or imaginary part into [1, 2), so the squares in its norm
+    neither overflow nor underflow at any finite scale.  Both parts are
+    scaled in place, which keeps the signs of their zeros.
     """
-    if not np.isfinite(d).all():
-        raise DomainError("non-finite Dicke coefficient")
+    parts = d.view(np.float64)  # (m, 2k): each row's real and imaginary parts, interleaved
+    top = np.abs(parts).max(axis=1)  # NaN or inf for a row with a non-finite part
+    if not np.isfinite(top).all():
+        raise DomainError("non-finite amplitude")
+    if not top.all():
+        raise DomainError("the zero vector is not a state")
+    np.ldexp(parts, 1 - np.frexp(top)[1][:, None], out=parts)
     re, im = d.real[:, None, :], d.imag[:, None, :]
-    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]  # as np.linalg.norm of a row
-    if norm.min() < 1e-150:
-        raise DomainError("zero state has no Dicke representation")
-    d = d / norm
+    d /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]  # as np.linalg.norm of a row
+    return d
+
+
+def _canonical(d: np.ndarray) -> np.ndarray:
+    """Dicke rows (m, n+1) normalized in place by ``_unit_rows``, each first non-negligible coefficient real positive.
+
+    The one home of the global-phase convention.
+    """
+    d = _unit_rows(d)
     mags = np.abs(d)
     rows = np.arange(d.shape[0])
     k = np.argmax(mags >= _PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
@@ -204,12 +217,7 @@ class FullState:
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
         if amps.shape[0] != 2**n:
             raise DomainError(f"expected {2**n} amplitudes, got {amps.shape[0]}")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise DomainError("non-finite amplitude")
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-150:
-            raise DomainError("zero state")
-        amps = amps / norm
+        amps = _unit_rows(amps[None])[0]
         amps.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
@@ -236,8 +244,6 @@ def dicke_state(n: int, k: int) -> SymmetricState:
     """The Dicke state with k excitations among n qubits."""
     n = int(n)
     k = int(k)
-    if n < 1:
-        raise DomainError("n must be positive")
     if not 0 <= k <= n:
         raise DomainError(f"excitation number k={k} outside 0..{n}")
     d = np.zeros(n + 1, dtype=np.complex128)
@@ -248,8 +254,6 @@ def dicke_state(n: int, k: int) -> SymmetricState:
 def coherent_state(n: int, center: QubitState) -> SymmetricState:
     """Spin-coherent state: the symmetric product of n copies of ``center``."""
     n = int(n)
-    if n < 1:
-        raise DomainError("n must be positive")
     a, b = center.amplitudes
     d = _sqrt_binom(n) * np.array([a ** (n - k) * b**k for k in range(n + 1)])
     return SymmetricState(n, d)
@@ -292,17 +296,10 @@ def _pair_product_coeffs(pairs: Sequence[tuple[complex, complex]]) -> np.ndarray
 
 
 def _state_from_pairs(pairs: Sequence[tuple[complex, complex]]) -> SymmetricState:
-    """The symmetrized product of the qubits (a_j, b_j); n >= 1030 is refused before the product.
-
-    The row is scaled exactly, by the power of two that brings its largest entry into [0.5, 1), so the
-    squares of its norm cannot underflow (the row of about 750 or more generic qubits is below 1e-154).
-    """
+    """The symmetrized product of the qubits (a_j, b_j); n >= 1030 is refused before the product."""
     n = len(pairs)
     sqrt_binom = _sqrt_binom(n)  # before the O(n**2) product
-    d = _pair_product_coeffs(pairs) / sqrt_binom
-    k = -int(np.frexp(np.abs(d).max())[1])
-    d.real, d.imag = np.ldexp(d.real, k), np.ldexp(d.imag, k)
-    return SymmetricState(n, d)
+    return SymmetricState(n, _pair_product_coeffs(pairs) / sqrt_binom)
 
 
 def symmetrize(parts: Sequence[QubitState]) -> SymmetricState:
@@ -315,10 +312,7 @@ def symmetrize(parts: Sequence[QubitState]) -> SymmetricState:
     """
     if len(parts) == 0:
         raise DomainError("symmetrize needs at least one qubit state")
-    try:
-        return _state_from_pairs([q.amplitudes for q in parts])
-    except DomainError as exc:  # zero norm cannot occur for qubit products
-        raise DomainError(f"symmetrization produced a zero vector: {exc}") from exc
+    return _state_from_pairs([q.amplitudes for q in parts])
 
 
 def symmetrization_constant(parts: Sequence[QubitState]) -> float:

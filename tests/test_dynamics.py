@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
-from stellar import dynamics
+from stellar import dynamics, errors
 from stellar.dynamics import _match, _nearest
 from stellar.errors import DomainError, NumericError, ResourceError, SymmetryViolationError
 from stellar.hamiltonians import MAX_MATRIX_BYTES, parse
@@ -157,6 +157,26 @@ class TestExponentiate:
     def test_non_hermitian_rejected(self):
         with pytest.raises(DomainError):
             st.exponentiate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_anti_hermitian_ndarray_rejected_by_evolve_and_exponentiate(self):
+        # permutation symmetric, so only the Hermiticity check can refuse it
+        m = 1j * st.build_matrix(parse("sym(X I)")).matrix
+        with pytest.raises(DomainError, match="not Hermitian"):
+            st.evolve(m, st.dicke_state(2, 0), [0.0, 1.0])
+        with pytest.raises(DomainError, match="not Hermitian"):
+            st.exponentiate(m, 0.5)
+
+    def test_hermiticity_checked_once(self, monkeypatch):
+        h = st.build_matrix(parse("sym(X Z)"))
+        checked = []
+        monkeypatch.setattr(dynamics, "_check_hermitian", checked.append)
+        st.exponentiate(h, 0.5)
+        st.evolve(h, st.dicke_state(2, 0), [0.0, 0.5])
+        assert checked == []  # the operator was checked when it was made
+        m = np.array(h.matrix)
+        st.exponentiate(m, 0.5)
+        st.evolve(m, st.dicke_state(2, 0), [0.0, 0.5])
+        assert len(checked) == 2 and all(c is m for c in checked)  # the caller's array, not a copy
 
 
 class TestReduce:
@@ -339,7 +359,7 @@ def reference_evolve(h, psi0, betas, max_step=dynamics.MAX_STEP_RAD, max_depth=d
     """
     from scipy.optimize import linear_sum_assignment
 
-    m, n = dynamics._as_matrix(h)
+    m, n = dynamics._as_matrix(h, dynamics._check_hermitian)
     grid = np.asarray(list(betas), dtype=float)
     s = _dicke_isometry(n)
     lam, q = np.linalg.eigh(s.T @ m @ s)
@@ -656,7 +676,7 @@ class TestArgumentValidation:
     def test_frame_limit(self, monkeypatch):
         h = st.build_matrix(parse(XY_HALF))
         frame = 3 * (8 + 16 * 3 + 24 * 2) + 264  # a beta, a Dicke row and two stars, thrice, and a SymmetricState
-        monkeypatch.setattr(dynamics, "MAX_MATRIX_BYTES", 100 * frame)
+        monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", 100 * frame)
         assert st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 0.1, 100)).betas.size == 100
         with pytest.raises(ResourceError, match="bytes"):
             st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 0.1, 101))

@@ -160,8 +160,7 @@ def _serial_star_vectors(state):
     coeffs = (-1.0) ** np.arange(n + 1) * _sqrt_binom(n) * state.d
     mags = np.abs(coeffs)
     scale = float(mags.max())
-    nonzero = np.nonzero(mags >= stars._STRIP_TOL * scale)[0]
-    first, last = int(nonzero[0]), int(nonzero[-1])
+    first, last = (int(i[0]) for i in stars._pole_strip(mags[None]))
     v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
     if last > first:
         roots = stars._chart(_serial_roots(coeffs[first : last + 1] / scale))
@@ -384,6 +383,41 @@ class TestStarsToState:
         c = st.Constellation(6, tuple([base] * 3 + others))
         back = st.state_to_stars(st.stars_to_state(c))
         assert match_constellations(c, back) <= 1e-5
+
+
+class TestPoleStrip:
+    """Only a coefficient negligible against its inner neighbour is a star on a pole."""
+
+    @given(hs.sampled_from([12, 16, 24, 32]), hs.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stars_near_the_poles(self, n, seed):
+        # every star within 0.3 rad of a pole: the coefficients fall like r**k towards the ends
+        rng = np.random.default_rng(seed)
+        offset = rng.uniform(0.0, 0.3, n)
+        thetas = np.where(rng.random(n) < 0.5, offset, math.pi - offset)
+        c = st.Constellation(n, tuple(map(st.Star.from_angles, thetas, rng.uniform(0.0, 2.0 * math.pi, n))))
+        assert match_constellations(st.state_to_stars(st.stars_to_state(c)), c) <= 1e-6
+
+    def test_uniform_stars_at_56(self):
+        rng = np.random.default_rng(56)
+        for _ in range(40):
+            c = st.Constellation(56, tuple(uniform_star(rng) for _ in range(56)))
+            assert match_constellations(st.state_to_stars(st.stars_to_state(c)), c) <= 1e-6
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-100, 1e-200, 1e-300, 1e-310, 5e-324])
+    def test_tiny_end_coefficients(self, n, tiny):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            d = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            d[[0, -1]] = tiny
+            s = st.SymmetricState(n, d)
+            assert st.fidelity(s, st.stars_to_state(st.state_to_stars(s))) >= 1.0 - 1e-12
+
+    def test_prefixes(self):
+        mags = np.array([[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1e-20, 1.0, 1e-5, 0.0], [1e-20, 0.0, 1.0, 0.0, 0.0]])
+        first, last = stars._pole_strip(mags)
+        assert first.tolist() == [2, 2, 0] and last.tolist() == [2, 3, 2]
 
 
 class TestRotationEquivariance:

@@ -402,3 +402,37 @@ class TestConstructorInvariants:
     def test_ghz_helper_norm(self):
         for n in (2, 5, 9):
             assert abs(np.linalg.norm(st.ghz_state(n).d) - 1.0) < 1e-12
+
+
+class TestAnyFiniteScale:
+    """A finite row normalizes at any scale; only an all-zero row is refused."""
+
+    ROW = np.array([complex(-0.0, 1.0), complex(3.0, -0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+    @pytest.mark.parametrize("exponent", [664, -664, -565, -1070, 1020])
+    def test_power_of_two_scale_gives_the_same_bits(self, exponent):
+        # scaling by 2**exponent is exact, so the normalized rows must agree bit for bit, signed zeros included
+        scaled = np.empty_like(self.ROW)
+        scaled.real, scaled.imag = np.ldexp(self.ROW.real, exponent), np.ldexp(self.ROW.imag, exponent)
+        for make, attr in ((st.SymmetricState, "d"), (st.FullState, "amps")):
+            n = 3 if make is st.SymmetricState else 2
+            want, got = getattr(make(n, self.ROW), attr), getattr(make(n, scaled), attr)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(st.FullState(2, scaled).amps.real[3])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-200])
+    def test_decimal_scales(self, scale):
+        want = np.array([1.0, 3.0]) / math.sqrt(10.0)
+        assert np.abs(st.SymmetricState(1, [scale, 3.0 * scale]).d - want).max() <= 1e-15
+        assert np.abs(st.FullState(1, [scale, 3.0 * scale]).amps - want).max() <= 1e-15
+
+    def test_smallest_subnormal_is_a_state(self):
+        assert st.SymmetricState(2, [0.0, 5e-324, 0.0]).d.tolist() == [0.0, 1.0, 0.0]
+        assert st.FullState(1, [0.0, -5e-324]).amps.tolist() == [0.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [math.inf, 1.0], [math.nan, 0.0]])
+    def test_zero_and_non_finite_rows_rejected(self, bad):
+        with pytest.raises(DomainError):
+            st.SymmetricState(1, bad)
+        with pytest.raises(DomainError):
+            st.FullState(1, bad)
