@@ -7,9 +7,11 @@ seeds 0-5) and the determinism commands of the tests that list lacks.
 Writes DIR/golden.txt, one line per command: ``sha256  bytes  exit  argv``,
 and each command's stdout to DIR/NNN.out.  Compare two checkouts with
 
-    python scripts/golden_stdout.py --out a    # in one checkout
-    python scripts/golden_stdout.py --out b    # in the other
-    diff a/golden.txt b/golden.txt
+    python scripts/golden_stdout.py --out a                # in one checkout
+    python scripts/golden_stdout.py --out b --against a    # in the other
+
+With ``--against DIR`` it then exits 1, naming on stderr each command whose
+line differs from DIR/golden.txt or that only one of the two lists.
 """
 
 import argparse
@@ -74,9 +76,18 @@ def run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode()
 
 
-def main():
+def differing(lines: list[str], against: pathlib.Path) -> list[str]:
+    """The argv of each command whose golden line differs between ``lines`` and against/golden.txt, or is in one only."""
+    old = (against / "golden.txt").read_text().splitlines()
+    new = [line.rstrip("\n") for line in lines]
+    changed = set(old) ^ set(new)
+    return list(dict.fromkeys(line.split("  ", 3)[3] for line in new + old if line in changed))
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--against", type=pathlib.Path, help="directory of an earlier run to compare with")
     args = parser.parse_args()
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -89,7 +100,13 @@ def main():
         lines.append(f"{hashlib.sha256(stdout).hexdigest()}  {len(stdout)}  {code}  {shlex.join(argv)}\n")
     (outdir / "golden.txt").write_text("".join(lines))
     print(outdir / "golden.txt")
+    if args.against is None:
+        return 0
+    changed = differing(lines, args.against)
+    for argv in changed:
+        print(f"differs from {args.against / 'golden.txt'}: {argv}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

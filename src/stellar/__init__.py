@@ -12,7 +12,6 @@ from .composition import compose, make_rng, random_antipodal_state, random_qubit
 from .dynamics import (
     BlockDecomposition,
     Trajectory,
-    TransitionBasis,
     VelocityProfile,
     build_transition,
     e_b_profile,

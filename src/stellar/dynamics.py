@@ -23,7 +23,6 @@ from .stars import _angles, _geodesic, _star_vectors_batch
 from .states import SymmetricState, _canonical, _complex_json, _csv, _dicke_isometry, _floats, _transposition_deficit
 
 __all__ = [
-    "TransitionBasis",
     "BlockDecomposition",
     "Trajectory",
     "VelocityProfile",
@@ -41,20 +40,6 @@ __all__ = [
 
 MAX_STEP_RAD = 0.2
 MAX_REFINEMENT_DEPTH = 12
-
-
-@dataclass(frozen=True)
-class TransitionBasis:
-    """Unitary whose first n+1 columns are the Dicke vectors.
-
-    The remaining columns are the canonical contrast basis inside each
-    Hamming-weight sector: for the sector's basis states x_1 < x_2 < ...
-    the m-th contrast is (x_1 + ... + x_m - m*x_{m+1}) / sqrt(m(m+1)),
-    sectors in increasing weight order.
-    """
-
-    n: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,11 +130,15 @@ def _check_unitary(u: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} lost unitarity (deficit {deficit:.3e} > 1e-10)")
 
 
-def build_transition(n: int) -> TransitionBasis:
-    """Dicke-adapted orthonormal basis of the full n-qubit space.
+def build_transition(n: int) -> np.ndarray:
+    """Dicke-adapted orthonormal basis of the full n-qubit space, as a 2**n x 2**n unitary.
 
-    The basis is a dense 2**n x 2**n matrix, refused with ResourceError
-    above MAX_MATRIX_BYTES (16 * 4**n bytes) before anything is allocated.
+    Its first n+1 columns are the Dicke vectors.  The remaining columns are
+    the canonical contrast basis inside each Hamming-weight sector: for the
+    sector's basis states x_1 < x_2 < ... the m-th contrast is
+    (x_1 + ... + x_m - m*x_{m+1}) / sqrt(m(m+1)), sectors in increasing
+    weight order.  Refused with ResourceError above MAX_MATRIX_BYTES
+    (16 * 4**n bytes) before anything is allocated.
     """
     n = int(n)
     if n < 1:
@@ -165,14 +154,21 @@ def build_transition(n: int) -> TransitionBasis:
             t[idx[m], col] = -float(m)
             t[:, col] /= math.sqrt(m * (m + 1))
             col += 1
-    return TransitionBasis(n, t)
+    return t
 
 
 def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i * beta * H) through the Hermitian eigendecomposition."""
+    """exp(-i * beta * H) through the Hermitian eigendecomposition.
+
+    Its peak besides H is counted as 6 * 16 * 4**n bytes (tracemalloc: 5.9
+    at n = 4, 4.0 from n = 7; below n = 4 a few KiB of fixed overhead lead)
+    and refused with ResourceError above MAX_MATRIX_BYTES before the
+    eigendecomposition.
+    """
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    m, _ = _as_matrix(h, _check_hermitian)
+    m, n = _as_matrix(h, _check_hermitian)
+    _check_bytes(6 * 16 * 4**n, f"exponentiating a {n}-qubit matrix needs")
     try:
         lam, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -182,18 +178,21 @@ def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
     return u
 
 
-def reduce_unitary(
-    u: np.ndarray, tol: float = 1e-10, basis: TransitionBasis | None = None
-) -> BlockDecomposition:
+def reduce_unitary(u: np.ndarray, tol: float = 1e-10) -> BlockDecomposition:
     """Block-diagonalize a permutation-symmetric unitary in the Dicke basis.
 
     Raises SymmetryViolationError with the measured off-block norm when the
     leakage between the symmetric subspace and its complement exceeds tol.
+    Its peak besides u is counted as 6 * 16 * 4**n bytes (tracemalloc: 5.6
+    at n = 6, 4.9 at n = 10; below n = 4 a few KiB of fixed overhead lead)
+    and refused with ResourceError above MAX_MATRIX_BYTES before the
+    transition basis is built.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and non-negative, got {tol}")
     u, n = _as_matrix(u, _check_finite)
-    t = basis.matrix if basis is not None else build_transition(n).matrix
+    _check_bytes(6 * 16 * 4**n, f"reducing a {n}-qubit unitary needs")
+    t = build_transition(n)
     up = t.conj().T @ u @ t
     s = n + 1
     off = math.sqrt(
@@ -290,7 +289,6 @@ def evolve(
     psi0: SymmetricState,
     betas: Sequence[float],
     max_step: float = MAX_STEP_RAD,
-    max_depth: int = MAX_REFINEMENT_DEPTH,
 ) -> Trajectory:
     """Propagate a symmetric state along exp(-i*beta*H) and follow its stars.
 
@@ -298,7 +296,7 @@ def evolve(
     entirely in the (n+1)-dimensional symmetric block.  Star identities are
     matched between consecutive frames by optimal assignment; whenever a
     matched star moves more than ``max_step`` radians the step is bisected,
-    up to ``max_depth`` times, after which it is kept and flagged as a
+    up to MAX_REFINEMENT_DEPTH times, after which it is kept and flagged as a
     discontinuity.  Frames above MAX_MATRIX_BYTES raise ResourceError.
 
     Two passes give the step-by-step walk's result.  The first refines a
@@ -349,7 +347,7 @@ def evolve(
     d, stars = frames(grid)
     parts_b, parts_d, parts_stars = [grid], [d], [stars]
     b0, b1, left, right = grid[:-1], grid[1:], stars[:-1], stars[1:]
-    for _ in range(max_depth):
+    for _ in range(MAX_REFINEMENT_DEPTH):
         _, unique, move = _nearest(left, right)
         # a tied step's nearest move bounds its assignment's from below: only one within max_step needs the solver
         for k in np.flatnonzero(~unique & (move <= max_step)):

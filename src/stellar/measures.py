@@ -12,7 +12,7 @@ d/dtheta keeps the basis, d/dtheta T_k = (k T_(k-1) - (n-k) T_(k+1)) / 2,
 so it is one cached tridiagonal matrix A, and sum_k w_k (A T)_k is the
 row w @ A against T; d/dphi maps w to i k w.  Value, gradient and
 Hessian all contract rows with T, A T and A A T.
-``e_g(state, grid, max_iter)`` sweeps the theta x phi grid as one matmul
+``e_g(state, grid)`` sweeps the theta x phi grid as one matmul
 (T(thetas) * gbar) @ e^(i k phis), then runs a damped-Newton ascent from
 the best grid cells; it needs the Husimi function alone, not the stars.
 """
@@ -57,9 +57,6 @@ class Barycenter:
     def d(self) -> float:
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class GeometricResult:
@@ -94,6 +91,7 @@ def e_b(obj: SymmetricState | Constellation) -> float:
 
 _GRID_STARTS = 8  # ascent starts taken from the best grid cells, one per basin
 _GTOL = 1e-12  # gradient tolerance of the ascent, before the round-off floor
+_MAX_ITER = 60  # damped-Newton steps per ascent
 
 
 def _husimi_weights(state: SymmetricState) -> np.ndarray:
@@ -202,7 +200,7 @@ def _wrap_chart(th: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return th, ph
 
 
-def _ascend(gbar, n, theta, phi, max_iter, gtol):
+def _ascend(gbar, n, theta, phi, gtol):
     """Damped Newton ascent on the Husimi function, batched over starts.
 
     The analytic 2x2 Hessian is flipped to a positive-definite metric so
@@ -224,7 +222,7 @@ def _ascend(gbar, n, theta, phi, max_iter, gtol):
     converged = gnorm <= gtol
     dead = np.zeros(m, dtype=bool)
     damping = np.ones(m)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         active = ~converged & ~dead
         if not active.any():
             break
@@ -270,17 +268,14 @@ def _ascend(gbar, n, theta, phi, max_iter, gtol):
     return th, ph, q, converged
 
 
-def e_g(
-    state: SymmetricState,
-    grid: tuple[int, int] = (64, 128),
-    max_iter: int = 60,
-) -> GeometricResult:
+def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricResult:
     """Geometric measure via Husimi maximization over the sphere.
 
     A coarse theta x phi grid locates the candidate basins; a damped-Newton
-    ascent starts from the best ``_GRID_STARTS`` grid cells, at most one per
-    grid spacing.  Convergence means a gradient below ``_GTOL`` or below
-    the round-off floor of the gradient evaluation, whichever is larger.
+    ascent of up to ``_MAX_ITER`` steps starts from the best ``_GRID_STARTS``
+    grid cells, at most one per grid spacing.  Convergence means a gradient
+    below ``_GTOL`` or below the round-off floor of the gradient
+    evaluation, whichever is larger.
     The witness is the first near-best endpoint in (theta, phi) order, with
     phi reduced to one period of Q in phi (phi = 0 on a ring).
     ``grid`` must be two integers >= 2 (else DomainError), and a grid whose
@@ -326,7 +321,7 @@ def e_g(
 
     th0 = np.array([s[0] for s in starts])
     ph0 = np.array([s[1] for s in starts])
-    th, ph, q, ok = _ascend(gbar, n, th0, ph0, max_iter, gtol)
+    th, ph, q, ok = _ascend(gbar, n, th0, ph0, gtol)
 
     best = float(q.max())
     # Q has period 2*pi/g in phi, g the gcd of the gaps between nonzero indices

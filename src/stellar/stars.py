@@ -253,8 +253,8 @@ def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.ndarray:
-    """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of each row of p.
+def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of each row of p, up to 30 steps.
 
     A root stops moving when its residual is at the round-off floor of
     polynomial evaluation; roots whose update would not be finite are left
@@ -265,7 +265,7 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray, max_iter: int = 30) -> np.n
     m, deg = roots.shape
     pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(30):
             val = _horner(pt, roots)
             done = np.abs(val) <= 64.0 * _EPS * _horner(at, np.abs(roots)) + 1e-300
             if done.all():

@@ -395,15 +395,14 @@ def embed_full(state: SymmetricState) -> FullState:
     return FullState(state.n, _dicke_isometry(state.n) @ state.d)
 
 
-def project_sym(full: FullState, tol: float = 1e-8) -> SymmetricState:
-    """Project onto the symmetric subspace; reject states too far outside it."""
+def project_sym(full: FullState) -> SymmetricState:
+    """Project onto the symmetric subspace; reject states whose overlap deficit exceeds 1e-8."""
     n = full.n
     d = _dicke_isometry(n).T @ full.amps
     deficit = max(0.0, 1.0 - float(np.linalg.norm(d)) ** 2)
-    if deficit > tol:
+    if deficit > 1e-8:
         raise SymmetryViolationError(
-            f"project_sym: state lies outside the symmetric subspace "
-            f"(overlap deficit {deficit:.3e} > {tol:.1e})",
+            f"project_sym: state lies outside the symmetric subspace (overlap deficit {deficit:.3e} > 1.0e-08)",
             deficit,
         )
     return SymmetricState(n, d)
@@ -484,15 +483,15 @@ def _transposition_deficit(arr: np.ndarray, n: int) -> float:
     return deficit
 
 
-def is_permutation_symmetric(full: FullState, tol: float = 1e-10) -> SymmetryReport:
-    """Check invariance of the amplitudes under all qubit transpositions.
+def is_permutation_symmetric(full: FullState) -> SymmetryReport:
+    """Check invariance of the amplitudes under all qubit transpositions, to 1e-10.
 
     The deficit is ``_transposition_deficit`` of the amplitudes: 0.0 for
     exactly symmetric amplitudes, recognised from two generators, else the
     largest change over every transposition.
     """
     deficit = _transposition_deficit(full.amps, full.n)
-    return SymmetryReport(deficit <= tol, deficit)
+    return SymmetryReport(deficit <= 1e-10, deficit)
 
 
 def jm_to_nk(j: float, m: float) -> tuple[int, int]:

@@ -1,11 +1,13 @@
 """One byte budget, errors.MAX_MATRIX_BYTES, refuses every oversized request with its own message."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stellar as st
 from stellar import errors
-from stellar.cli import _check_sweep_rows
+from stellar.cli import _check_sweep_rows, main
 from stellar.errors import ResourceError
 from stellar.hamiltonians import MAX_MATRIX_BYTES, parse
 
@@ -25,6 +27,8 @@ def test_hamiltonians_reexports_the_budget():
         (lambda: st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), np.linspace(0.0, 0.1, 2)),
          "2 frames on 2 qubits need 1152 bytes"),
         (lambda: _check_sweep_rows(7), "a sweep of 7 points needs up to 1127 bytes"),
+        (lambda: st.exponentiate(np.eye(8), 0.1), "exponentiating a 3-qubit matrix needs 6144 bytes"),
+        (lambda: st.reduce_unitary(np.eye(8)), "reducing a 3-qubit unitary needs 6144 bytes"),
     ],
 )
 def test_messages(monkeypatch, call, message):
@@ -38,3 +42,21 @@ def test_message_at_the_real_budget():
     with pytest.raises(ResourceError) as info:
         st.build_matrix(parse("sym(Z Z" + " I" * 12 + ")"))
     assert str(info.value) == "a dense 14-qubit matrix needs 4294967296 bytes, above the limit of 1073741824 bytes"
+
+
+def test_dense_dynamics_refused_before_allocating(monkeypatch, capsys):
+    # a budget that the 3-qubit matrix (1024 bytes) fits and exp(-i*beta*H) and its reduction (6144) do not
+    h = st.build_matrix(parse("sym(X Z I)"))
+    u = st.exponentiate(h, 0.7)
+    monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", 4096)
+    for call in (lambda: st.exponentiate(h, 0.7), lambda: st.reduce_unitary(u)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="needs 6144 bytes"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6144
+    assert main(["reduce", "--hamiltonian", "sym(X Z I)", "--beta", "0.7"]) == 3
+    assert capsys.readouterr().out == ""

@@ -79,7 +79,7 @@ def random_invariant_hamiltonian(rng, n):
 
 class TestTransitionBasis:
     def test_two_qubits(self):
-        t = st.build_transition(2).matrix
+        t = st.build_transition(2)
         expected = np.array(
             [
                 [1, 0, 0, 0],
@@ -91,17 +91,17 @@ class TestTransitionBasis:
         assert np.abs(t - expected).max() <= 1e-15
 
     def test_three_qubits_match_printed(self):
-        t = st.build_transition(3).matrix
+        t = st.build_transition(3)
         assert np.abs(t - printed_transition_3()).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_unitarity(self, n):
-        t = st.build_transition(n).matrix
+        t = st.build_transition(n)
         assert np.abs(t.conj().T @ t - np.eye(2**n)).max() <= 1e-12
 
     def test_dicke_columns(self):
         n = 4
-        t = st.build_transition(n).matrix
+        t = st.build_transition(n)
         for k in range(n + 1):
             col = st.embed_full(st.dicke_state(n, k)).amps
             assert np.abs(t[:, k] - col).max() <= 1e-15
@@ -207,20 +207,18 @@ class TestReduce:
         for _ in range(8):
             n = int(rng.integers(2, 6))
             h = random_invariant_hamiltonian(rng, n)
-            basis = st.build_transition(n)
             for beta in rng.uniform(-3, 3, size=3):
-                block = st.reduce_unitary(st.exponentiate(h, beta), tol=1e-10, basis=basis)
+                block = st.reduce_unitary(st.exponentiate(h, beta), tol=1e-10)
                 assert block.offblock_norm <= 1e-10
 
     def test_group_property_in_block(self):
         rng = np.random.default_rng(8)
         for n in (2, 3, 4):
             h = random_invariant_hamiltonian(rng, n)
-            basis = st.build_transition(n)
             for a, b in ((0.4, 1.3), (-0.7, 2.1)):
-                va = st.reduce_unitary(st.exponentiate(h, a), basis=basis).V
-                vb = st.reduce_unitary(st.exponentiate(h, b), basis=basis).V
-                vab = st.reduce_unitary(st.exponentiate(h, a + b), basis=basis).V
+                va = st.reduce_unitary(st.exponentiate(h, a)).V
+                vb = st.reduce_unitary(st.exponentiate(h, b)).V
+                vab = st.reduce_unitary(st.exponentiate(h, a + b)).V
                 assert np.abs(va @ vb - vab).max() <= 1e-9
 
 
@@ -296,9 +294,10 @@ class TestEvolve:
             moves.append(d.max())
         assert max(moves) <= 0.2 + 1e-9
 
-    def test_refinement_exhaustion_sets_discontinuity_flag(self):
+    def test_refinement_exhaustion_sets_discontinuity_flag(self, monkeypatch):
         h = st.build_matrix(parse(XY_HALF))
-        traj = st.evolve(h, st.dicke_state(2, 0), np.linspace(0, 1.4, 4), max_depth=0)
+        monkeypatch.setattr(dynamics, "MAX_REFINEMENT_DEPTH", 0)
+        traj = st.evolve(h, st.dicke_state(2, 0), np.linspace(0, 1.4, 4))
         assert traj.discontinuity.any()
         assert traj.betas.size == 4  # no midpoints were allowed
 
@@ -452,24 +451,28 @@ class TestLevelwiseMatching:
                     assert_same_trajectory(st.evolve(h, psi0, grid), reference_evolve(h, psi0, grid))
 
     @pytest.mark.parametrize("kwargs", [{"max_step": 0.01}, {"max_depth": 0}, {"max_depth": 2}])
-    def test_refinement_settings(self, kwargs):
+    def test_refinement_settings(self, monkeypatch, kwargs):
+        # max_step is evolve's argument; max_depth is the module constant MAX_REFINEMENT_DEPTH
+        if "max_depth" in kwargs:
+            monkeypatch.setattr(dynamics, "MAX_REFINEMENT_DEPTH", kwargs["max_depth"])
         rng = np.random.default_rng(410)
         cases = [(XY_HALF, st.dicke_state(2, 0)), (XY_HALF, st.dicke_state(2, 1)), (PAIR_FLOW, st.dicke_state(2, 0))]
         cases += [(f"{sym(3, 'Z', 'Z')} + 0.7*{sym(3, 'X')}", psi0) for psi0 in starts(3, rng).values()]
         for src, psi0 in cases:
             h = st.build_matrix(parse(src))
             for grid in (np.linspace(0.0, 1.4, 4), np.linspace(1.4, 0.1, 4)):
-                traj = st.evolve(h, psi0, grid, **kwargs)
+                traj = st.evolve(h, psi0, grid, max_step=kwargs.get("max_step", dynamics.MAX_STEP_RAD))
                 assert_same_trajectory(traj, reference_evolve(h, psi0, grid, **kwargs))
 
     @pytest.mark.parametrize("max_depth", [1, 2, 4, 12])
-    def test_tie_below_a_bisected_step(self, calls, max_depth):
+    def test_tie_below_a_bisected_step(self, calls, monkeypatch, max_depth):
         # the stars of the XY/2 flow meet at the south pole at pi/2: the grid
         # step is bisected, and a tied step across the meeting follows at depth >= 1
+        monkeypatch.setattr(dynamics, "MAX_REFINEMENT_DEPTH", max_depth)
         h = st.build_matrix(parse(XY_HALF))
         for grid in ([math.pi / 2 - 0.8, math.pi / 2 + 0.05], [math.pi / 2 + 0.05, math.pi / 2 - 0.8]):
             calls["match"] = 0
-            traj = st.evolve(h, st.dicke_state(2, 0), grid, max_depth=max_depth)
+            traj = st.evolve(h, st.dicke_state(2, 0), grid)
             assert calls["match"] >= 1 and calls["core"] >= 2
             assert_same_trajectory(traj, reference_evolve(h, st.dicke_state(2, 0), grid, max_depth=max_depth))
 
@@ -494,7 +497,7 @@ class TestAdjacentFloatGrids:
     so frames share betas, and the trajectory is still the step-by-step one, bit for bit."""
 
     @pytest.mark.parametrize("pair", [[b, float(np.nextafter(b, math.inf))] for b in (-0.0, 0.1, 0.4, 1.0)] + [[-5e-324, 0.0]])
-    def test_both_directions(self, pair):
+    def test_both_directions(self, monkeypatch, pair):
         rng = np.random.default_rng(450)
         field = f"{sym(3, 'Z', 'Z')} + 0.7*{sym(3, 'X')}"
         cases = [(XY_HALF, st.dicke_state(2, 0)), (field, st.ghz_state(3)), (field, haar_state(3, rng))]
@@ -502,7 +505,8 @@ class TestAdjacentFloatGrids:
         for src, psi0 in cases:
             h = st.build_matrix(parse(src))
             for grid, max_depth in itertools.product((pair, pair[::-1]), (4, 9)):
-                traj = st.evolve(h, psi0, grid, max_step=1e-300, max_depth=max_depth)
+                monkeypatch.setattr(dynamics, "MAX_REFINEMENT_DEPTH", max_depth)
+                traj = st.evolve(h, psi0, grid, max_step=1e-300)
                 want = reference_evolve(h, psi0, grid, max_step=1e-300, max_depth=max_depth)
                 assert set(traj.betas.tolist()) == set(grid)
                 assert_same_trajectory(traj, want)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
+from stellar import measures
 from stellar.cli import main as cli_main
 from stellar.errors import DomainError, ResourceError
 from stellar.measures import _husimi_eval, _husimi_grid, _husimi_weights, husimi_batch, husimi_gradient
@@ -125,10 +126,12 @@ class TestGeometricMeasure:
         r = st.e_g(haar_state(5, RNG))
         assert r.value == pytest.approx(-math.log2(r.overlap), abs=1e-12)
 
-    def test_iteration_cap_error_carries_best(self):
+    def test_iteration_cap_error_carries_best(self, monkeypatch):
         s = st.SymmetricState(5, np.arange(1, 7) * (1 + 0.5j))
-        with pytest.raises(st.ConvergenceError) as err:
-            st.e_g(s, max_iter=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_MAX_ITER", 0)
+            with pytest.raises(st.ConvergenceError) as err:
+                st.e_g(s)
         assert err.value.converged is False
         assert 0.0 <= err.value.best.value
         # the cap only degrades polish, not the basin choice
@@ -361,7 +364,18 @@ class TestSingleHusimiEvaluator:
         assert np.abs(grid - pointwise).max() <= 4 * np.finfo(float).eps
 
     def test_e_g_options(self):
-        assert list(inspect.signature(st.e_g).parameters) == ["state", "grid", "max_iter"]
+        # the settings no program caller passes are module constants; each one left is set by the CLI
+        signatures = {
+            st.evolve: ["h", "psi0", "betas", "max_step"],
+            st.e_g: ["state", "grid"],
+            st.reduce_unitary: ["u", "tol"],
+            st.project_sym: ["full"],
+            st.is_permutation_symmetric: ["full"],
+        }
+        for func, params in signatures.items():
+            assert list(inspect.signature(func).parameters) == params
+        t = st.build_transition(3)
+        assert type(t) is np.ndarray and t.shape == (8, 8)
 
     @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (10, 3)])
     def test_witness_attains_overlap_on_dicke_rings(self, n, k):

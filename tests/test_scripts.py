@@ -81,7 +81,7 @@ def test_golden_stdout(tmp_path, monkeypatch, capsys):
     argvs = [["stars", "--ghz", "3"], ["measure", "--dicke", "4", "9"]]
     monkeypatch.setattr(golden, "commands", lambda: argvs)
     monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(tmp_path)])
-    golden.main()
+    assert golden.main() == 0
     capsys.readouterr()
     lines = (tmp_path / "golden.txt").read_text().splitlines()
     assert len(lines) == 2
@@ -91,6 +91,32 @@ def test_golden_stdout(tmp_path, monkeypatch, capsys):
         assert line == f"{hashlib.sha256(stdout).hexdigest()}  {len(stdout)}  {code}  {shlex.join(argv)}"
         assert (tmp_path / f"{i:03d}.out").read_bytes() == stdout
     assert lines[1].split("  ")[1:3] == ["0", "3"]  # the domain error prints nothing and exits 3
+
+
+def test_golden_stdout_against(tmp_path, monkeypatch, capsys):
+    golden = load_script("golden_stdout")
+    argvs = [["stars", "--ghz", "3"], ["measure", "--dicke", "4", "9"], ["random", "--n", "3", "--seed", "1"]]
+    monkeypatch.setattr(golden, "commands", lambda: argvs)
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(first)])
+    assert golden.main() == 0
+    monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(second), "--against", str(first)])
+    assert golden.main() == 0
+    assert capsys.readouterr().err == ""
+    written = (second / "golden.txt").read_text()
+    assert written == (first / "golden.txt").read_text()
+
+    # one digest changed, one command only in the earlier run: both are named, the rest not
+    lines = (first / "golden.txt").read_text().splitlines(keepends=True)
+    lines[0] = "0" * 64 + lines[0][64:]
+    (first / "golden.txt").write_text("".join(lines) + lines[1].replace("--dicke 4 9", "--ghz 5"))
+    assert golden.main() == 1
+    report = capsys.readouterr()
+    assert report.out == f"{second / 'golden.txt'}\n"
+    assert report.err.splitlines() == [
+        f"differs from {first / 'golden.txt'}: {cmd}" for cmd in ("stars --ghz 3", "measure --ghz 5")
+    ]
+    assert (second / "golden.txt").read_text() == written  # written as without --against
 
 
 def test_golden_stdout_covers_determinism_commands():
