@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed list of CLI commands, to compare two checkouts.
+"""Digest the stdout of a fixed list of CLI commands, and the benchmark's star vectors, to compare two checkouts.
 
 Runs ``stellar.cli.main`` in-process, from this checkout's ``src``, over the
 benchmark's CLI commands (``perfbench/workloads.py::cli_commands`` for
 seeds 0-5) and the determinism commands of the tests that list lacks.
-Writes DIR/golden.txt, one line per command: ``sha256  bytes  exit  argv``,
-and each command's stdout to DIR/NNN.out.  Compare two checkouts with
+Then, as the item ``star-vectors WORKLOAD SEED``, it runs one op of the
+``ensemble``, ``geometric`` and ``dynamics`` workloads over their cases for
+seeds 0-5 and takes the bytes of every star vector the op returns, so the
+star core is compared bit for bit and not only through printed digits.
+Writes DIR/golden.txt, one line per item: ``sha256  bytes  exit  argv``,
+and each item's output to DIR/NNN.out.  Compare two checkouts with
 
     python scripts/golden_stdout.py --out a                # in one checkout
     python scripts/golden_stdout.py --out b --against a    # in the other
@@ -17,10 +21,13 @@ line differs from DIR/golden.txt or that only one of the two lists.
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import pathlib
 import shlex
 import sys
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,22 +57,40 @@ EXTRA = [
 ]
 
 
-def commands() -> list[list[str]]:
-    """The benchmark's CLI commands for seeds 0-5, then the extra ones, without repeats."""
+STAR_WORKLOADS = ("ensemble", "geometric", "dynamics")
+
+
+def perfbench(module: str):
+    """A module of this checkout's perfbench directory."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.append(str(ROOT / "perfbench"))
-    from workloads import cli_commands
+    return importlib.import_module(module)
 
+
+def commands() -> list[list[str]]:
+    """The benchmark's CLI commands for seeds 0-5, then the extra ones, without repeats, then the star-vector items."""
+    cli_commands = perfbench("workloads").cli_commands
     out: list[list[str]] = []
     for argv in [argv for seed in range(6) for _, argv in cli_commands(seed)] + EXTRA:
         if argv not in out:
             out.append(argv)
-    return out
+    return out + [["star-vectors", name, str(seed)] for name in STAR_WORKLOADS for seed in range(6)]
+
+
+def star_vectors(name: str, seed: int) -> bytes:
+    """The star vectors of one op of a benchmark workload over its cases for ``seed``, as bytes in op order."""
+    workload = perfbench("workloads").make(name, str(ROOT))
+    out = workload.op(workload.cases(seed), perfbench("spans").Tracer(False))
+    arrays = [traj.stars for _, traj, _ in out] if name == "dynamics" else [case[1] for case in out]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
-    """Exit code and stdout of one in-process CLI run; stderr is dropped."""
+    """Exit code and stdout of one in-process CLI run, stderr dropped; 0 and the bytes of a star-vectors item."""
     from stellar.cli import main
+
+    if argv[0] == "star-vectors":
+        return 0, star_vectors(argv[1], int(argv[2]))
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -10,6 +10,12 @@ theta = 2*atan|w|, phi = arg w, are the n stars.  Vanishing leading
 coefficients are roots at infinity, i.e. stars at the south pole; the
 convention is fixed so that the constellation of a product state
 |q>^(x n) is n copies of q's own Bloch vector.
+
+A multiple star (n of them for a coherent state) comes out of the root
+solve as a ring of simple roots.  Each root carries the radius of its
+Weierstrass inclusion disc; roots whose discs overlap, or that lie within
+12 sqrt(eps) of each other, form one cluster, which is collapsed into one
+multiple star when the state confirms it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .states import SymmetricState, _csv, _floats, _sqrt_binom, _state_from_pairs
 
 __all__ = [
@@ -43,6 +49,8 @@ __all__ = [
 # is ~1e-13, far inside every round-trip tolerance.
 _STRIP_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
+# two roots this close are near whatever their discs: a double root of a rounded row splits by ~sqrt(eps)
+_NEAR = 12.0 * math.sqrt(_EPS)
 
 
 def _on_sphere(v: np.ndarray) -> np.ndarray:
@@ -253,22 +261,23 @@ def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of each row of p, up to 30 steps.
 
     A root stops moving when its residual is at the round-off floor of
     polynomial evaluation; roots whose update would not be finite are left
     at their companion-matrix estimate.  A row with no root left to move
     is a fixed point of the step, so every row takes the steps it would
-    take alone.
+    take alone.  Also returns the residual bounds at the returned roots,
+    |A(x)| + 4 deg eps sum_k |a_k| |x|^(deg-k), from the last evaluation.
     """
     m, deg = roots.shape
     pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
     with np.errstate(all="ignore"):
-        for _ in range(30):
-            val = _horner(pt, roots)
-            done = np.abs(val) <= 64.0 * _EPS * _horner(at, np.abs(roots)) + 1e-300
-            if done.all():
+        for steps in range(31):
+            val, size = _horner(pt, roots), _horner(at, np.abs(roots))
+            done = np.abs(val) <= 64.0 * _EPS * size + 1e-300
+            if steps == 30 or done.all():
                 break
             if dpt is None:
                 dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), deg)
@@ -283,31 +292,39 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> np.ndarray:
             if not ok.any():
                 break
             roots = np.where(ok, roots - step, roots)
-    return roots
+    return roots, np.abs(val) + 4.0 * deg * _EPS * size
 
 
-def _polynomial_roots(c: np.ndarray) -> np.ndarray:
-    """All roots of each row of c (m, deg+1), coefficients highest degree first.
+def _polynomial_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of each row of c (m, deg+1), coefficients highest degree first, and their disc radii.
 
     Both end coefficients must be non-negligible.  Stacked companion-matrix
     eigenvalues seed an Aberth-Ehrlich refinement; a row whose constant
     term dominates its leading one is worked on reversed, so large roots
-    are handled as small roots of the reverse.
+    are handled as small roots of the reverse.  A root's radius, capped at
+    pi, is the angle 2 deg W / (1 + |x|^2) of its inclusion disc in that
+    chart, from its Weierstrass correction W = bound / |a_0 prod_{j != i} (x - x_j)|
+    (Bini & Robol 2014); degree 1 gives 0.
     """
     m, deg = c.shape[0], c.shape[1] - 1
     if deg == 1:
-        return -c[:, 1:] / c[:, :1]
+        return -c[:, 1:] / c[:, :1], np.zeros((m, 1))
     reverse = np.abs(c[:, -1]) > np.abs(c[:, 0])
     work = np.where(reverse[:, None], c[:, ::-1], c)
     work /= np.abs(work).max(axis=1, keepdims=True)
     companion = np.zeros((m, deg, deg), dtype=np.complex128)
     companion[:, 0] = -work[:, 1:] / work[:, :1]
     companion.reshape(m, -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
-    roots = _aberth_refine(work, np.linalg.eigvals(companion))
+    roots, bound = _aberth_refine(work, np.linalg.eigvals(companion))
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    gaps.reshape(m, -1)[:, :: deg + 1] = 1.0
+    with np.errstate(all="ignore"):  # the product as a sum of logs; a coincident pair gives inf, NaN gives pi
+        log_w = np.log(deg * bound / np.abs(work[:, :1])) - np.log(gaps).sum(axis=2)
+        radii = np.fmin(2.0 * np.exp(log_w) / (1.0 + np.abs(roots) ** 2), math.pi)
     if reverse.any():
         flipped = roots[reverse]
         roots[reverse] = 1.0 / np.where(np.abs(flipped) < 1e-300, 1e-300, flipped)
-    return roots
+    return roots, radii
 
 
 def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.ndarray:
@@ -316,7 +333,9 @@ def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.
 
     ``coeffs`` is the full polynomial, highest degree first; roots beyond
     the unit circle (or at infinity, w0 None) are handled on the reversed
-    polynomial so the pole chart stays regular.
+    polynomial so the pole chart stays regular.  Each derivative is scaled
+    by the power of two that brings its largest coefficient below 1: exact,
+    so no Newton step changes, and the chain cannot overflow.
     """
     if w0 is None:
         work, x, inverted = coeffs[::-1], 0.0 + 0.0j, True
@@ -327,6 +346,7 @@ def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.
     q = work
     for _ in range(m - 1):
         q = np.polyder(q)
+        q = q * 2.0 ** -math.frexp(float(np.abs(q).max()))[1]
     dq = np.polyder(q)
     for _ in range(60):
         dqv = np.polyval(dq, x)
@@ -343,55 +363,40 @@ def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.
     return _chart(x)
 
 
-def _collapse_degenerate_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Pin clusters of stars that represent one multiple root.
+def _clusters(near: np.ndarray) -> list[np.ndarray]:
+    """The connected components of two or more stars of a symmetric pair mask (n, n), as sorted indices."""
+    label, old = np.arange(len(near)), None
+    while old is None or (label != old).any():  # each star takes the smallest label of its near stars
+        old, label = label, np.minimum(label, np.where(near, label, len(near)).min(axis=1))
+    return [c for c in (np.flatnonzero(label == i) for i in np.unique(label)) if c.size > 1]
 
-    An m-fold root scatters companion-matrix eigenvalues on a ring of
-    radius ~eps**(1/m); whenever m stars sit within that resolution limit
-    of each other they are replaced by m copies of the derivative-refined
-    root.  Every replacement is verified by reconstruction fidelity
-    against the Dicke row d and reverted if it measurably changes it.
+
+def _resolve_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarray, g: np.ndarray, radii: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Collapse each cluster of a row's stars v (n, 3) into one multiple star.
+
+    A cluster is a connected component of the ``near`` pairs of stars, at
+    distances g with disc radii ``radii``.  Its stars become copies of the
+    multiple root refined from their centroid, kept if they still give the
+    Dicke row d to fidelity 1 - 1e-12.  A cluster that fails is split once:
+    each component of its pairs that lie within both discs and no further
+    apart than its largest nearest-neighbour distance is tried alone.
+    Raises NumericError when the stars then miss d.
     """
-    n = len(v)
-    if n < 2:
-        return v
-    dist = _geodesic(v, v)
-    np.fill_diagonal(dist, np.inf)
-    frozen = np.zeros(n, dtype=bool)  # members of an accepted collapse
-    tried: set[bytes] = set()
-    # reach[k]: the smallest radius within which some star has k + 1 others
-    reach = np.sort(dist, axis=1).min(axis=0)
-    stages = [n] + list(range(min(n - 1, 12), 1, -1))
-    for m in stages:
-        tau = 12.0 * _EPS ** (1.0 / m)
-        # a qualifying cluster has diameter <= tau, i.e. it is a clique in
-        # the tau-graph, so some member sees all the others as neighbors
-        need = max(m, 2) - 1
-        if reach[need - 1] > tau:
-            continue
-        within = dist <= tau
-        counts = within.sum(axis=1)
-        for i in np.nonzero(counts >= need)[0]:
-            comp = np.sort(np.append(np.nonzero(within[i])[0], i))
-            if comp.tobytes() in tried or frozen[comp].any():
-                continue
-            tried.add(comp.tobytes())
-            sub = dist[np.ix_(comp, comp)]
-            diameter = float(sub[np.isfinite(sub)].max())
-            if diameter == 0.0 or diameter > tau:
-                continue  # coincident already, or not a tight ring
-            centroid = v[comp].mean(axis=0)
-            norm = float(np.linalg.norm(centroid))
-            if norm < 1e-6:
-                continue
+    todo = [(comp, True) for comp in _clusters(near)]
+    for members, whole in todo:  # a failed whole cluster appends its parts
+        centroid = v[members].mean(axis=0)
+        if (norm := float(np.linalg.norm(centroid))) >= 1e-6:
             trial = v.copy()
-            trial[comp] = _refine_multiple_root(coeffs, sphere_to_plane(Star(*(centroid / norm))), len(comp))
+            trial[members] = _refine_multiple_root(coeffs, sphere_to_plane(Star(*(centroid / norm))), members.size)
             if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, d)) >= 1.0 - 1e-12:
                 v = trial
-                frozen[comp] = True
-                dist = _geodesic(v, v)
-                np.fill_diagonal(dist, np.inf)
-                reach = np.sort(dist, axis=1).min(axis=0)
+                continue
+        if whole:
+            sub = g[np.ix_(members, members)]
+            mutual = sub <= np.maximum(np.minimum.outer(radii[members], radii[members]), _NEAR)
+            todo += [(members[p], False) for p in _clusters(mutual & (sub <= sub.min(axis=1).max())) if p.size < members.size]
+    if (fid := abs(np.vdot(_state_from_pairs(_pairs(v)).d, d))) < 1.0 - 1e-12:
+        raise NumericError(f"the stars of a clustered row give the state to fidelity {fid!r} only")
     return v
 
 
@@ -400,10 +405,12 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
 
     Each row's stars are sorted by (theta, phi) and include its pole
     multiplicities, exactly as that row alone would give them: rows of one
-    effective degree share one stacked root solve, and only rows whose
-    closest pair is within twice the widest collapse threshold go to the
-    cluster collapse.  Raises DomainError when a root finds no place on the
-    sphere.
+    effective degree share one stacked root solve.  Two roots are near
+    when their inclusion discs overlap or they lie within _NEAR (a pole
+    star is near none), and only the rows with a near pair go to
+    ``_resolve_clusters``, one at a time.  Raises DomainError when a root
+    finds no place on the sphere, and NumericError when a cluster is left
+    that misses the row.
     """
     m, n = d.shape[0], d.shape[1] - 1
     coeffs = _signed_sqrt_binom(n) * d  # index k multiplies w^(n-k)
@@ -413,26 +420,26 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     groups: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(first.tolist(), last.tolist())):
         groups.setdefault(key, []).append(i)
-    # per row: `first` south poles, then `n - last` north poles (w = 0), then the roots
+    # per row: `first` south poles, then `n - last` north poles (w = 0), then the roots;
+    # a pole star is exact, and its radius NaN keeps it out of every cluster
     w = np.zeros((m, n), dtype=np.complex128)
+    radii = np.full((m, n), np.nan)
     for (f, l), members in groups.items():
         if l > f:
             rows = slice(None) if len(groups) == 1 else members
-            w[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
+            w[rows, n - l + f :], radii[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
     rows = (last > first).nonzero()[0]
     v = _chart(w) if rows.size else np.zeros((m, n, 3)) + (0.0, 0.0, 1.0)
     if first.any():
         v[np.arange(n) < first[:, None]] = (0.0, 0.0, -1.0)
-    tau = 12.0 * _EPS ** (1.0 / n)  # of the widest collapse stage, m = n
-    if rows.size and 2.0 * tau < math.pi:
-        # keep the rows whose closest pair lies within 2 tau; twice, so that
-        # no rounding of the Gram matrix can drop a row a stage would act on
-        near = v if rows.size == m else v[rows]
-        gram = near @ near.swapaxes(1, 2)
-        gram.reshape(rows.size, n * n)[:, :: n + 1] = -1.0
-        rows = rows[gram.max(axis=(1, 2)) >= math.cos(2.0 * tau)]
-    for i in rows.tolist():
-        v[i] = _collapse_degenerate_clusters(d[i], v[i], coeffs[i] / scale[i])
+    if rows.size:
+        vr, rr = (v, radii) if rows.size == m else (v[rows], radii[rows])
+        g = _geodesic(vr, vr)
+        g.reshape(rows.size, n * n)[:, :: n + 1] = np.inf
+        near = g <= np.maximum(rr[:, :, None] + rr[:, None, :], _NEAR)
+        for k in near.any(axis=(1, 2)).nonzero()[0].tolist():
+            i = rows[k]
+            v[i] = _resolve_clusters(d[i], v[i], coeffs[i] / scale[i], g[k], radii[i], near[k])
     order = np.lexsort(_angles(v)[::-1], axis=-1)  # by theta, then phi
     return v[np.arange(m)[:, None], order]
 

@@ -125,3 +125,30 @@ def test_golden_stdout_covers_determinism_commands():
     listed = load_script("golden_stdout").commands()
     assert all(argv in listed for argv in TestDeterminism.COMMANDS)
     assert len(listed) == len({tuple(argv) for argv in listed})
+
+
+def test_golden_stdout_star_vectors(tmp_path, monkeypatch, capsys):
+    from stellar import stars
+
+    golden = load_script("golden_stdout")
+    listed = golden.commands()
+    assert [argv for argv in listed if argv[0] == "star-vectors"] == [
+        ["star-vectors", name, str(seed)] for name in ("ensemble", "geometric", "dynamics") for seed in range(6)
+    ]
+    item = ["star-vectors", "ensemble", "3"]
+    monkeypatch.setattr(golden, "commands", lambda: [item])
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(first)])
+    assert golden.main() == 0
+    # the op's star vectors: 24 cases of n stars (x, y, z) at each n = 4, 8, 16, 24
+    nbytes = 24 * 8 * 3 * (4 + 8 + 16 + 24)
+    assert len((first / "000.out").read_bytes()) == nbytes
+    assert (first / "golden.txt").read_text().split("  ")[1:] == [str(nbytes), "0", "star-vectors ensemble 3\n"]
+
+    # the same stars in another order are caught
+    core = stars._star_vectors_batch
+    monkeypatch.setattr(stars, "_star_vectors_batch", lambda d: core(d)[:, ::-1])
+    monkeypatch.setattr(sys, "argv", ["golden_stdout", "--out", str(second), "--against", str(first)])
+    capsys.readouterr()
+    assert golden.main() == 1
+    assert capsys.readouterr().err == f"differs from {first / 'golden.txt'}: star-vectors ensemble 3\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 import stellar as st
 from stellar import stars
-from stellar.errors import DomainError
+from stellar.errors import DomainError, NumericError
 from stellar.stars import _star_vectors, _star_vectors_batch
 from stellar.states import _sqrt_binom
 
@@ -143,16 +143,24 @@ def _serial_aberth(p, roots, max_iter=30):
 
 
 def _serial_roots(c):
-    if len(c) == 2:
-        return np.array([-c[1] / c[0]])
+    """Roots of c and their disc radii, the radii from np.polyval residuals at the polished roots."""
+    deg = len(c) - 1
+    if deg == 1:
+        return np.array([-c[1] / c[0]]), np.zeros(1)
     reverse = abs(c[-1]) > abs(c[0])
     work = c[::-1].copy() if reverse else c.copy()
     work /= np.abs(work).max()
     roots = _serial_aberth(work, np.roots(work))
+    bound = np.abs(np.polyval(work, roots)) + 4.0 * deg * np.finfo(float).eps * np.polyval(np.abs(work), np.abs(roots))
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(all="ignore"):
+        weierstrass = bound / (abs(work[0]) * gaps.prod(axis=1))
+        radii = np.fmin(2.0 * deg * weierstrass / (1.0 + np.abs(roots) ** 2), math.pi)
     if reverse:
         roots = np.where(np.abs(roots) < 1e-300, 1e-300, roots)
         roots = 1.0 / roots
-    return roots
+    return roots, radii
 
 
 def _serial_star_vectors(state):
@@ -163,8 +171,14 @@ def _serial_star_vectors(state):
     first, last = (int(i[0]) for i in stars._pole_strip(mags[None]))
     v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
     if last > first:
-        roots = stars._chart(_serial_roots(coeffs[first : last + 1] / scale))
-        v = stars._collapse_degenerate_clusters(state.d, np.concatenate([v, roots]), coeffs / scale)
+        roots, radii = _serial_roots(coeffs[first : last + 1] / scale)
+        v = np.concatenate([v, stars._chart(roots)])
+        radii = np.concatenate([np.full(n - len(roots), np.nan), radii])  # the pole stars take no part
+        g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+        np.fill_diagonal(g, np.inf)
+        near = g <= np.maximum(radii[:, None] + radii[None, :], 12.0 * math.sqrt(np.finfo(float).eps))
+        if near.any():
+            v = stars._resolve_clusters(state.d, v, coeffs / scale, g, radii, near)
     return v[np.lexsort(stars._angles(v)[::-1])]
 
 
@@ -291,13 +305,91 @@ class TestStarVectorsBatch:
         assert firsts == set(range(8))
 
 
+def _star_of(q: st.QubitState) -> st.Star:
+    return st.Star.from_angles(q.theta, q.phi)
+
+
+class TestClusters:
+    """Multiple stars found from overlapping inclusion discs, and rows that cannot be resolved."""
+
+    def test_two_coherent_blocks(self):
+        # a 5-fold and a 3-fold star at uniformly drawn places
+        off = []
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            q1, q2 = uniform_qubit(rng), uniform_qubit(rng)
+            state = st.compose(st.coherent_state(5, q1), st.coherent_state(3, q2))
+            want = st.Constellation(8, (_star_of(q1),) * 5 + (_star_of(q2),) * 3)
+            if match_constellations(want, st.state_to_stars(state)) > 1e-6:
+                off.append(seed)
+        assert off == []
+
+    @staticmethod
+    def _multiple_among_uniform(m: int, seed: int) -> st.Constellation:
+        rng = np.random.default_rng(10_000 + seed)
+        base = uniform_star(rng)
+        return st.Constellation(m + 12, (base,) * m + tuple(uniform_star(rng) for _ in range(12)))
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_multiple_star_among_uniform_stars(self, m):
+        off = []
+        for seed in range(400):
+            if (m, seed) == (5, 301):
+                continue  # test_multiple_star_beside_a_close_star
+            c = self._multiple_among_uniform(m, seed)
+            if match_constellations(c, st.state_to_stars(st.stars_to_state(c))) > 1e-6:
+                off.append(seed)
+        assert off == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a simple star 7e-3 rad from the 5-fold star: the exact roots of the stored row "
+        "are themselves 3.0e-3 rad from the drawn stars, and the stars come back 3.3e-3 off",
+    )
+    def test_multiple_star_beside_a_close_star(self):
+        c = self._multiple_among_uniform(5, 301)
+        assert match_constellations(c, st.state_to_stars(st.stars_to_state(c))) <= 1e-6
+
+    @pytest.mark.parametrize("n", [200, 400, 1000])
+    def test_coherent_at_large_n(self, n):
+        q = uniform_qubit(np.random.default_rng(n))
+        assert np.abs(_star_vectors(st.coherent_state(n, q)) - _star_of(q).as_array()).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_uniform_stars_at_large_n(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            state = st.stars_to_state(st.Constellation(n, tuple(uniform_star(rng) for _ in range(n))))
+            assert st.fidelity(state, st.stars_to_state(st.state_to_stars(state))) >= 1.0 - 1e-15
+
+    def test_uniform_stars_at_400_return_or_raise(self):
+        # draw 0 leaves a cluster that would miss the state by 1 - F = 1.1e-2: it raises instead
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            state = st.stars_to_state(st.Constellation(400, tuple(uniform_star(rng) for _ in range(400))))
+            try:
+                back = st.stars_to_state(st.state_to_stars(state))
+            except NumericError:
+                continue
+            assert st.fidelity(state, back) >= 1.0 - 1e-15
+
+    @pytest.mark.parametrize("m,k", [(40, 40), (60, 30), (80, 20)])
+    def test_unresolved_cluster_raises(self, m, k):
+        rng = np.random.default_rng(m + k)
+        q = uniform_qubit(rng)
+        with pytest.raises(NumericError):
+            st.state_to_stars(st.symmetrize([q] * m + [uniform_qubit(rng) for _ in range(k)]))
+
+
 class TestNonFiniteRoots:
     """A root the chart cannot place raises DomainError on every path that needs roots."""
 
     @pytest.fixture
     def nan_roots(self, monkeypatch):
         monkeypatch.setattr(
-            stars, "_polynomial_roots", lambda c: np.full((c.shape[0], c.shape[1] - 1), complex(np.nan, 0.0))
+            stars,
+            "_polynomial_roots",
+            lambda c: (np.full((c.shape[0], c.shape[1] - 1), complex(np.nan, 0.0)), np.zeros((c.shape[0], c.shape[1] - 1))),
         )
 
     def test_state_to_stars(self, nan_roots):
@@ -345,9 +437,9 @@ class TestNonFiniteRoots:
         solve = stars._polynomial_roots
 
         def last_row_nan(c):
-            roots = solve(c)
+            roots, radii = solve(c)
             roots[-1, 0] = complex(np.nan, 0.0)
-            return roots
+            return roots, radii
 
         monkeypatch.setattr(stars, "_polynomial_roots", last_row_nan)
         with pytest.raises(DomainError):
