@@ -209,17 +209,71 @@ def reduce_unitary(u: np.ndarray, tol: float = 1e-10) -> BlockDecomposition:
     return BlockDecomposition(n, v, w, off)
 
 
+def _assign(cost: list[list[float]]) -> list[int]:
+    """The column of each row in a minimum-cost assignment of a square matrix of finite costs.
+
+    Shortest augmenting paths (Crouse, IEEE Trans. Aerosp. Electron. Syst.
+    52(4), 1679, 2016), ported from scipy's ``linear_sum_assignment`` with
+    its tie rule, so that ties resolve as there: the unvisited columns start
+    in reverse order and leave by swap-remove, among the cheapest columns the
+    last free one wins, else the first, and reduced costs, duals and the
+    augmentation round as there.  Plain loops over lists: at the n <= 13
+    that ``evolve``'s dense matrix allows, they beat numpy on scalars or rows.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        dist = [math.inf] * n  # shortest path cost to each column
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []  # visited, each at most once
+        i, sink, min_val = cur, -1, 0.0
+        while sink < 0:
+            rows.append(i)
+            row, ui = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _match(prev: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     """Assign new stars to previous identities, minimizing total geodesic cost.
 
-    Hungarian assignment; returns the column order, so that star i of prev
-    continues as ``new[order[i]]``, and the largest single move.
+    ``_assign``'s shortest augmenting paths with scipy's tie rule; returns
+    the column order, so that star i of prev continues as ``new[order[i]]``,
+    and the largest single move.  A non-finite cost raises NumericError.
     """
-    from scipy.optimize import linear_sum_assignment  # deferred: most CLI commands never match stars
-
     cost = _geodesic(prev, new)
-    rows, order = linear_sum_assignment(cost)
-    return order, float(cost[rows, order].max())
+    if not np.isfinite(cost).all():
+        raise NumericError("star matching met a non-finite geodesic cost")
+    order = np.array(_assign(cost.tolist()), dtype=np.intp)
+    return order, float(cost[np.arange(len(order)), order].max())
 
 
 def _chunk_rows(n: int) -> int:

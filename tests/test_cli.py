@@ -451,3 +451,37 @@ class TestConsoleScript:
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestNoScipyAtRunTime:
+    """Tied star steps are matched without scipy: neither import stellar nor evolve/velocity load it."""
+
+    LIPKIN7 = "sym(Z Z I I I I I) + 0.5*sym(X I I I I I I)"
+    XY_HALF = "-0.5*X x Y + -0.5*Y x X"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["evolve", "--hamiltonian", LIPKIN7, "--coherent", "7", "1.1", "0.4", "--betas", "0:1.5:41"],
+            ["velocity", "--hamiltonian", XY_HALF, "--state", "00", "--betas", "0:1.5:40"],
+        ],
+        ids=["import", "evolve-coherent", "velocity-bitstring"],
+    )
+    def test_scipy_not_loaded(self, argv):
+        # a command also counts its assignment-solver calls: a tied first step must have reached it
+        code = (
+            "import contextlib, io, sys\n"
+            "import stellar\n"
+            "if ARGV is not None:\n"
+            "    from stellar import dynamics\n"
+            "    from stellar.cli import main\n"
+            "    calls, solve = [], dynamics._assign\n"
+            "    dynamics._assign = lambda cost: calls.append(len(cost)) or solve(cost)\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(ARGV) == 0\n"
+            "    assert calls, 'no tied step reached the solver'\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        ).replace("ARGV", repr(argv))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 
 import stellar as st
 from stellar import dynamics, errors
-from stellar.dynamics import _match, _nearest
+from stellar.dynamics import _assign, _match, _nearest
 from stellar.errors import DomainError, NumericError, ResourceError, SymmetryViolationError
 from stellar.hamiltonians import MAX_MATRIX_BYTES, parse
 from stellar.measures import _e_b
@@ -565,6 +565,84 @@ class TestNearest:
         sigma, unique, move = _nearest(single, single[::-1])
         assert unique.all() and not sigma.any()
         assert _nearest(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))[0].shape == (0, 3)
+
+
+AXES = np.vstack([np.eye(3), -np.eye(3)])  # stars whose geodesic costs are exactly 0, pi/2 and pi
+
+
+@hs.composite
+def tied_costs(draw):
+    """Square costs from {0, 0.5, 1} on n = 1..13, with drawn repeated rows and columns, or constant."""
+    n = draw(hs.integers(1, 13))
+    cost = np.array(draw(hs.lists(hs.sampled_from([0.0, 0.5, 1.0]), min_size=n * n, max_size=n * n))).reshape(n, n)
+    copies = hs.lists(hs.tuples(hs.integers(0, n - 1), hs.integers(0, n - 1)), max_size=n)
+    for i, j in draw(copies):
+        cost[i] = cost[j]
+    for i, j in draw(copies):
+        cost[:, i] = cost[:, j]
+    if draw(hs.integers(0, 4)) == 0:
+        cost[:] = cost[0, 0]
+    return cost
+
+
+@hs.composite
+def axis_steps(draw):
+    """Stars of two frames on n = 1..13 drawn from the six axis points, so most rows and columns repeat."""
+    n = draw(hs.integers(1, 13))
+    points = hs.lists(hs.integers(0, 5), min_size=n, max_size=n)
+    return AXES[draw(points)], AXES[draw(points)]
+
+
+@hs.composite
+def coherent_steps(draw):
+    """The first step from a coherent start on n = 1..13, its n stars coinciding, in either direction."""
+    n = draw(hs.integers(1, 13))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    start = st.coherent_state(n, st.QubitState(draw(hs.floats(0.0, math.pi)), draw(hs.floats(0.0, 2 * math.pi)))).d
+    scale = draw(hs.sampled_from([1e-9, 1e-3, 0.1]))
+    moved = _canonical((start + scale * (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)))[None])[0]
+    left, right = _star_vectors_batch(np.stack([start, moved]))
+    return (left, right) if draw(hs.booleans()) else (right, left)
+
+
+def assert_scipy_match(prev, new):
+    """_match returns linear_sum_assignment's column order and the move it implies."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.arccos(np.clip(prev @ new.T, -1.0, 1.0))
+    rows, want = linear_sum_assignment(cost)
+    order, move = _match(prev, new)
+    assert order.tolist() == want.tolist()
+    assert move == cost[rows, want].max()
+
+
+class TestTieRule:
+    """The assignment solver resolves ties exactly as scipy's linear_sum_assignment does."""
+
+    @given(tied_costs())
+    @settings(max_examples=400, deadline=None)
+    def test_tied_costs(self, cost):
+        from scipy.optimize import linear_sum_assignment
+
+        assert _assign(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+    @given(axis_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_axis_stars(self, step):
+        assert_scipy_match(*step)
+
+    @given(coherent_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_coherent_start(self, step):
+        left, right = step
+        assert not _nearest(left[None], right[None])[1][0] or len(left) == 1
+        assert_scipy_match(left, right)
+
+    def test_nan_star_raises(self):
+        prev = AXES[:3].copy()
+        prev[1] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            _match(prev, AXES[3:])
 
 
 @pytest.fixture
