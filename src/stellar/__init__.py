@@ -41,7 +41,6 @@ from .measures import (
     e_g,
     e_g_dicke,
     husimi,
-    rec_family_state,
     rotate_state,
 )
 from .stars import (
@@ -74,6 +73,7 @@ from .states import (
     nk_to_jm,
     overlap,
     project_sym,
+    rec_family_state,
     state_from_json,
     state_to_json,
     symmetrization_constant,

@@ -5,7 +5,8 @@ Dicke-adapted basis: an (n+1) x (n+1) block V on the symmetric subspace
 and a complementary block W.  ``build_transition`` constructs that basis,
 ``reduce_unitary`` extracts the blocks, and ``evolve`` propagates a
 symmetric state inside the small block in two passes: it refines the grid
-where a star would jump too far, then numbers the stars in one walk.
+where a star would jump too far, inserting each midpoint between its ends,
+then numbers the stars in one walk along the frames, already in grid order.
 """
 
 from __future__ import annotations
@@ -95,11 +96,13 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     Otherwise each transposition is checked on a tensor view of the matrix
     with the row and column bits of its two qubits as axes, by comparing
     the six pairs of sub-blocks it swaps as strided views.  Both paths give
-    the same deficit bit for bit.
+    the same deficit bit for bit.  A matrix that is not finite or not
+    2^n x 2^n for this n raises DomainError.
     """
-    m = np.ascontiguousarray(matrix)
-    _check_finite(m)
-    return _transposition_deficit(m, n)
+    m, qubits = _as_matrix(matrix, _check_finite)
+    if qubits != n:
+        raise DomainError(f"a {m.shape[0]} x {m.shape[0]} matrix acts on {qubits} qubits, not {n}")
+    return _transposition_deficit(np.ascontiguousarray(m), n)
 
 
 def _check_finite(m: np.ndarray) -> None:
@@ -282,9 +285,9 @@ def _chunk_rows(n: int) -> int:
 
 
 def _frame_bytes(n: int) -> int:
-    """Bytes per frame at the peak of ``evolve``: the arrays (beta, Dicke row, stars) thrice, as pass-1 parts,
-    their concatenation and its copy in grid order, and a SymmetricState with its attribute dict, row view and
-    slot in a tuple (264 bytes on CPython 3.11)."""
+    """Bytes per frame at the peak of ``evolve``: the arrays (beta, Dicke row, stars) thrice, as the old and new
+    arrays of a midpoint insertion and the numbered copy of the stars, and a SymmetricState with its attribute
+    dict, row view and slot in a tuple (264 bytes on CPython 3.11)."""
     return 3 * (8 + 16 * (n + 1) + 24 * n) + 264
 
 
@@ -355,12 +358,13 @@ def evolve(
 
     Two passes give the step-by-step walk's result.  The first refines a
     level at a time: one batch of frames (block products, phase fixing,
-    star solve) and one cost tensor per level, whose steps that move too
-    far are bisected.  The second numbers the stars of all frames, in grid
-    order, in one walk.  A unique nearest-star assignment is the only
-    optimal one whatever the numbering, so only tied steps, such as the
-    first from coinciding stars, go to ``_match``: unnumbered in the first
-    pass for their move, numbered in the second.
+    star solve) and one cost tensor per level over the steps still open,
+    whose steps that move too far are bisected; each midpoint is inserted
+    between its ends, so the frames stay in grid order.  The second numbers
+    the stars of all frames in one walk.  A unique nearest-star assignment
+    is the only optimal one whatever the numbering, so only tied steps,
+    such as the first from coinciding stars, go to ``_match``: unnumbered
+    in the first pass for their move, numbered in the second.
     """
     if not (math.isfinite(max_step) and max_step > 0.0):
         raise DomainError(f"max_step must be finite and positive, got {max_step}")
@@ -397,38 +401,30 @@ def evolve(
         rows = _chunk_rows(n)
         return d, np.concatenate([_star_vectors_batch(d[i : i + rows]) for i in range(0, len(d), rows)])
 
-    # pass 1: bisect, a level at a time, every step whose stars move too far
-    d, stars = frames(grid)
-    parts_b, parts_d, parts_stars = [grid], [d], [stars]
-    b0, b1, left, right = grid[:-1], grid[1:], stars[:-1], stars[1:]
+    # pass 1: bisect, a level at a time, every step whose stars move too far; the midpoints
+    # go in place, so b, d and stars stay in grid order, and steps holds each open step's first frame
+    b = grid
+    d, stars = frames(b)
+    steps = np.arange(b.size - 1)
     for _ in range(MAX_REFINEMENT_DEPTH):
-        _, unique, move = _nearest(left, right)
+        _, unique, move = _nearest(stars[steps], stars[steps + 1])
         # a tied step's nearest move bounds its assignment's from below: only one within max_step needs the solver
         for k in np.flatnonzero(~unique & (move <= max_step)):
-            move[k] = _match(left[k], right[k])[1]
-        split = move > max_step
-        if not split.any():
+            move[k] = _match(stars[steps[k]], stars[steps[k] + 1])[1]
+        split = steps[move > max_step]
+        if not split.size:
             break
-        _check_frames(sum(map(len, parts_b)) + int(split.sum()), n)
-        mid = 0.5 * (b0[split] + b1[split])
+        _check_frames(b.size + split.size, n)
+        mid = 0.5 * (b[split] + b[split + 1])
         mid_d, mid_stars = frames(mid)
-        parts_b.append(mid)
-        parts_d.append(mid_d)
-        parts_stars.append(mid_stars)
-        b0, b1 = np.concatenate([b0[split], mid]), np.concatenate([mid, b1[split]])
-        left = np.concatenate([left[split], mid_stars])
-        right = np.concatenate([mid_stars, right[split]])
+        b, d, stars = (np.insert(x, split + 1, y, axis=0) for x, y in ((b, mid), (d, mid_d), (stars, mid_stars)))
+        steps = ((split + np.arange(split.size))[:, None] + (0, 1)).ravel()  # both halves of each split step
 
-    # pass 2: number the stars along all frames in grid order, where -0.0 precedes +0.0
-    # as a midpoint lies between its ends; frames at one beta are otherwise the same
-    betas_all = np.concatenate(parts_b)
-    key = betas_all if grid[0] <= grid[-1] else -betas_all
-    order = np.lexsort((~np.signbit(key), key))
-    stars, discontinuity = _numbered(np.concatenate(parts_stars)[order], max_step)
-    d = np.concatenate(parts_d)[order]
+    # pass 2: number the stars along all frames in one walk
+    stars, discontinuity = _numbered(stars, max_step)
     d.flags.writeable = False
     return Trajectory(
-        betas=betas_all[order],
+        betas=b,
         states=tuple(SymmetricState._from_canonical(row) for row in d),
         stars=stars,
         e_b=_e_b(stars),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_bytes
 from .stars import Constellation, Star, _star_vectors
-from .states import QubitState, SymmetricState, _sqrt_binom, rec_family_state, symmetrize
+from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
 
 __all__ = [
     "Barycenter",
@@ -37,7 +37,6 @@ __all__ = [
     "e_b",
     "e_g",
     "e_g_dicke",
-    "rec_family_state",
     "rotate_state",
     "husimi",
     "husimi_batch",
@@ -281,7 +280,10 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
     ``grid`` must be two integers >= 2 (else DomainError), and a grid whose
     sweep needs more than MAX_MATRIX_BYTES is refused with ResourceError
     before anything is allocated.  Raises ConvergenceError carrying the
-    best result if no start attaining the best value converges.
+    best result if no start attaining the best value converges, or if the
+    best value is below 1/(n+1), the mean of Q over the sphere, which its
+    maximum cannot be: the grid then found no basin of a maximum (a 2-row
+    grid holds only the poles, where Q can vanish with its gradient).
     """
     try:
         n_th, n_ph = (operator.index(size) for size in grid)
@@ -339,6 +341,12 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
         witness=candidates[0][0],
         overlap=overlap_val,
     )
+    if best < 1.0 / (n + 1):
+        raise ConvergenceError(
+            f"Husimi ascent ended at {best:.3e}, below the mean 1/(n+1) = {1.0 / (n + 1):.3e} of Q:"
+            f" the {n_th}x{n_ph} grid found no maximum",
+            result,
+        )
     if not any(c[1] for c in candidates):
         raise ConvergenceError(
             f"Husimi ascent did not reach gradient tolerance {gtol:.1e}", result

@@ -38,6 +38,44 @@ def test_messages(monkeypatch, call, message):
     assert str(info.value) == f"{message}, above the limit of 1000 bytes"
 
 
+# embed_full and project_sym, with their counted bytes per amplitude
+FULL_STATE_CALLS = [
+    pytest.param(lambda s, f: st.embed_full(s), 50, id="embed_full"),
+    pytest.param(lambda s, f: st.project_sym(f), 24, id="project_sym"),
+]
+
+
+@pytest.mark.parametrize("call, per_amplitude", FULL_STATE_CALLS)
+def test_embed_and_project_refused_before_allocating(monkeypatch, call, per_amplitude):
+    state = st.coherent_state(12, st.QubitState(1.1, 0.4))
+    full = st.embed_full(state)
+    need = per_amplitude * 2**12
+    monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"12-qubit state needs {need} bytes"):
+            call(state, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12  # nothing of the size of a full state
+
+
+@pytest.mark.parametrize("call, per_amplitude", FULL_STATE_CALLS)
+def test_embed_and_project_peak_within_counted_bytes(monkeypatch, call, per_amplitude):
+    state = st.coherent_state(14, st.QubitState(1.1, 0.4))
+    full = st.embed_full(state)
+    call(state, full)  # warm the caches
+    monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", per_amplitude * 2**14)  # the counted bytes just fit
+    tracemalloc.start()
+    try:
+        call(state, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_amplitude * 2**14
+
+
 def test_message_at_the_real_budget():
     with pytest.raises(ResourceError) as info:
         st.build_matrix(parse("sym(Z Z" + " I" * 12 + ")"))

@@ -107,6 +107,10 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["measure", "--dicke", "4", "9", "--eb"])
         assert code == 3
 
+    def test_grid_missing_every_maximum_is_4(self, capsys):
+        code, out, err = run_cli(capsys, ["measure", "--dicke", "3", "1", "--eg", "--husimi-grid", "2x2"])
+        assert (code, out) == (4, "") and "below the mean" in err
+
     def test_symmetry_error_is_4(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -913,6 +913,21 @@ class TestProfilesAndSerialization:
             assert st.fidelity(a, b) >= 1 - 1e-12
 
 
+class TestSymmetryDeficitShape:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrong_qubit_count(self, n):
+        with pytest.raises(DomainError, match="acts on 2 qubits"):
+            st.operator_symmetry_deficit(np.diag([1.0, 2.0, 3.0, 4.0]), n)
+
+    def test_right_qubit_count(self):
+        assert st.operator_symmetry_deficit(np.diag([1.0, 2.0, 3.0, 4.0]), 2) == 1.0
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (6, 6), (1, 1)])
+    def test_not_2n_square(self, shape):
+        with pytest.raises(DomainError, match="not 2\\^n x 2\\^n"):
+            st.operator_symmetry_deficit(np.zeros(shape), 2)
+
+
 class TestSymmetryDeficitNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejected(self, bad):

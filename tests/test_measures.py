@@ -101,7 +101,8 @@ class TestGeometricMeasure:
     def test_rec_family_has_one_home(self):
         from stellar import measures, states
 
-        assert measures.rec_family_state is states.rec_family_state is st.rec_family_state
+        assert st.rec_family_state is states.rec_family_state
+        assert not hasattr(measures, "rec_family_state")
 
     def test_ghz4(self):
         assert st.e_g(st.ghz_state(4)).value == pytest.approx(1.0, abs=1e-8)
@@ -136,6 +137,20 @@ class TestGeometricMeasure:
         assert 0.0 <= err.value.best.value
         # the cap only degrades polish, not the basin choice
         assert abs(err.value.best.value - st.e_g(s).value) < 1e-3
+
+    @pytest.mark.parametrize(
+        "state, grid",
+        [
+            (st.dicke_state(3, 1), (2, 2)),  # a 2-row grid holds only the poles, where Q and its gradient vanish
+            (st.symmetrize([st.QubitState(0.0), st.QubitState(math.pi), st.QubitState(math.pi / 2, 0.0),
+                            st.QubitState(math.pi / 2, math.pi)]), (3, 2)),  # every grid point is a star
+        ],
+    )
+    def test_maximum_below_the_mean_raises(self, state, grid):
+        # Q averages 1/(n+1) over the sphere, so a best value below that is no maximum
+        with pytest.raises(st.ConvergenceError, match="below the mean") as err:
+            st.e_g(state, grid=grid)
+        assert err.value.best.overlap < 1.0 / (state.n + 1) <= st.e_g(state).overlap
 
 
 class TestDickeClosedForm:
