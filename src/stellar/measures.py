@@ -170,6 +170,21 @@ def _husimi_grid(gbar: np.ndarray, n: int, thetas: np.ndarray, phis: np.ndarray)
     return f.real**2 + f.imag**2
 
 
+def _top_k(q: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of the 1-D q, largest first, ties in index order.
+
+    Equals np.argsort(-q, kind="stable")[:k] without sorting all of q:
+    np.partition finds the k-th largest value, and only the entries above
+    it and the first entries equal to it are sorted.
+    """
+    if k >= q.size:
+        return np.argsort(-q, kind="stable")
+    kth = np.partition(q, q.size - k)[q.size - k]
+    above = np.flatnonzero(q > kth)
+    keep = np.concatenate([above, np.flatnonzero(q == kth)[: k - above.size]])
+    return keep[np.argsort(-q[keep], kind="stable")]
+
+
 def husimi(state: SymmetricState, point: QubitState) -> float:
     """Squared overlap with the coherent state at ``point``; lies in [0, 1]."""
     q, _, _ = _husimi_eval(_husimi_weights(state), state.n, point.theta, point.phi, 0)
@@ -272,9 +287,12 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
 
     A coarse theta x phi grid locates the candidate basins; a damped-Newton
     ascent of up to ``_MAX_ITER`` steps starts from the best ``_GRID_STARTS``
-    grid cells, at most one per grid spacing.  Convergence means a gradient
-    below ``_GTOL`` or below the round-off floor of the gradient
-    evaluation, whichever is larger.
+    grid cells, at most one per grid spacing.  The candidates are the
+    16 * ``_GRID_STARTS`` best cells from an exact top-k selection whose
+    ties keep grid order, as a stable sort of the whole grid would; the
+    spacing dedupe computes each cell's cos and sin of theta once.
+    Convergence means a gradient below ``_GTOL`` or below the round-off
+    floor of the gradient evaluation, whichever is larger.
     The witness is the first near-best endpoint in (theta, phi) order, with
     phi reduced to one period of Q in phi (phi = 0 on a ring).
     ``grid`` must be two integers >= 2 (else DomainError), and a grid whose
@@ -293,7 +311,7 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
         raise DomainError("husimi grid must be at least 2x2")
     gbar = _husimi_weights(state)
     n = state.n
-    # amplitudes, values and sort order per point; theta and phi tables
+    # amplitudes, values and their partitioned copy per point; theta and phi tables
     _check_bytes(32 * n_th * n_ph + 16 * (n + 1) * (n_th + n_ph), f"a {n_th}x{n_ph} Husimi grid needs")
     eps = float(np.finfo(float).eps)
     # sum_k |gbar_k| T_k(theta) <= |d| = 1 by Cauchy-Schwarz, so the gradient's round-off is O(n^2 eps)
@@ -302,27 +320,26 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
     thetas = np.linspace(0.0, math.pi, n_th)
     phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
     qgrid = _husimi_grid(gbar, n, thetas, phis).ravel()
-    # best first; ties keep (theta, phi) order, which is the raveled order
-    order = np.argsort(-qgrid, kind="stable")[: 16 * _GRID_STARTS]
-    starts: list[tuple[float, float]] = []
+    th_grid, ph_grid = thetas.tolist(), phis.tolist()
 
-    # spatial dedupe at the grid spacing keeps one start per candidate basin
+    # spatial dedupe at the grid spacing keeps one start per candidate basin;
+    # a start is (theta, phi, cos theta, sin theta)
     spacing = min(math.pi / (n_th - 1), 2.0 * math.pi / n_ph)
+    starts: list[tuple[float, float, float, float]] = []
+    # best first; ties keep (theta, phi) order, which is the raveled order
+    for i in _top_k(qgrid, 16 * _GRID_STARTS).tolist():
+        th, ph = th_grid[i // n_ph], ph_grid[i % n_ph]
+        c, s = math.cos(th), math.sin(th)
+        for _, p0, c0, s0 in starts:
+            if math.acos(min(1.0, max(-1.0, c0 * c + s0 * s * math.cos(p0 - ph)))) < spacing:
+                break
+        else:
+            starts.append((th, ph, c, s))
+            if len(starts) == _GRID_STARTS:
+                break
 
-    def _push(th, ph):
-        for t0, p0 in starts:
-            cosd = math.cos(t0) * math.cos(th) + math.sin(t0) * math.sin(th) * math.cos(p0 - ph)
-            if math.acos(min(1.0, max(-1.0, cosd))) < spacing:
-                return
-        starts.append((float(th), float(ph)))
-
-    for i in order:
-        if len(starts) >= _GRID_STARTS:
-            break
-        _push(thetas[i // n_ph], phis[i % n_ph])
-
-    th0 = np.array([s[0] for s in starts])
-    ph0 = np.array([s[1] for s in starts])
+    th0 = np.array([start[0] for start in starts])
+    ph0 = np.array([start[1] for start in starts])
     th, ph, q, ok = _ascend(gbar, n, th0, ph0, gtol)
 
     best = float(q.max())

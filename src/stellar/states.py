@@ -217,10 +217,20 @@ class FullState:
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
         if amps.shape[0] != 2**n:
             raise DomainError(f"expected {2**n} amplitudes, got {amps.shape[0]}")
+        self._set(n, amps)
+
+    def _set(self, n: int, amps: np.ndarray) -> None:
         amps = _unit_rows(amps[None])[0]
         amps.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _from_owned(cls, n: int, amps: np.ndarray) -> "FullState":
+        """A state from a fresh complex128 array of 2**n amplitudes that no one else holds, normalized in place."""
+        state = object.__new__(cls)
+        state._set(n, amps)
+        return state
 
 
 class SymmetryReport(NamedTuple):
@@ -400,15 +410,15 @@ def _dicke_isometry(n: int) -> np.ndarray:
 def embed_full(state: SymmetricState) -> FullState:
     """Spread each Dicke coefficient uniformly over its weight class: amplitude i is d[w] / sqrt(C(n, w)), w its weight.
 
-    Counted as 50 * 2**n bytes: the amplitudes, the FullState's copy and
-    the magnitudes its normalization takes (tracemalloc: 49.1 at n = 11,
-    48.0 at n = 18; below n = 11 a few KiB of fixed overhead lead).
+    Counted as 34 * 2**n bytes: the amplitudes, which are normalized in
+    place, and the magnitudes their normalization takes (tracemalloc: 33.1
+    at n = 11, 32.0 at n = 18).
     Refused with ResourceError above MAX_MATRIX_BYTES before anything is
     allocated.
     """
     n = state.n
-    _check_bytes(50 * 2**n, f"embedding a {n}-qubit state needs")
-    return FullState(n, (state.d * (1.0 / _sqrt_binom(n)))[_weights(n)])
+    _check_bytes(34 * 2**n, f"embedding a {n}-qubit state needs")
+    return FullState._from_owned(n, (state.d * (1.0 / _sqrt_binom(n)))[_weights(n)])
 
 
 def project_sym(full: FullState) -> SymmetricState:

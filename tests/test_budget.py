@@ -40,7 +40,7 @@ def test_messages(monkeypatch, call, message):
 
 # embed_full and project_sym, with their counted bytes per amplitude
 FULL_STATE_CALLS = [
-    pytest.param(lambda s, f: st.embed_full(s), 50, id="embed_full"),
+    pytest.param(lambda s, f: st.embed_full(s), 34, id="embed_full"),
     pytest.param(lambda s, f: st.project_sym(f), 24, id="project_sym"),
 ]
 

@@ -11,8 +11,16 @@ from hypothesis import strategies as hs
 import stellar as st
 from stellar import measures
 from stellar.cli import main as cli_main
-from stellar.errors import DomainError, ResourceError
-from stellar.measures import _husimi_eval, _husimi_grid, _husimi_weights, husimi_batch, husimi_gradient
+from stellar.errors import ConvergenceError, DomainError, ResourceError
+from stellar.measures import (
+    _ascend,
+    _husimi_eval,
+    _husimi_grid,
+    _husimi_weights,
+    _top_k,
+    husimi_batch,
+    husimi_gradient,
+)
 
 RNG = np.random.default_rng(4711)
 
@@ -414,6 +422,89 @@ class TestSingleHusimiEvaluator:
         r = st.e_g(state)
         assert r.witness.phi < 2.0 * math.pi / (k2 - k1)
         assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
+
+
+def reference_e_g(state, grid):
+    """``e_g`` with its ascent starts picked by a stable argsort of the whole
+    grid and a dedupe that recomputes the trig values of both points for
+    every candidate-start pair: the top-k selection must match it bit for bit."""
+    n_th, n_ph = grid
+    gbar = _husimi_weights(state)
+    n = state.n
+    gtol = max(measures._GTOL, 4.0 * np.finfo(float).eps * n * n)
+    thetas = np.linspace(0.0, math.pi, n_th)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
+    qgrid = _husimi_grid(gbar, n, thetas, phis).ravel()
+    order = np.argsort(-qgrid, kind="stable")[: 16 * measures._GRID_STARTS]
+    spacing = min(math.pi / (n_th - 1), 2.0 * math.pi / n_ph)
+    starts = []
+    for i in order:
+        if len(starts) >= measures._GRID_STARTS:
+            break
+        th, ph = thetas[i // n_ph], phis[i % n_ph]
+        for t0, p0 in starts:
+            cosd = math.cos(t0) * math.cos(th) + math.sin(t0) * math.sin(th) * math.cos(p0 - ph)
+            if math.acos(min(1.0, max(-1.0, cosd))) < spacing:
+                break
+        else:
+            starts.append((float(th), float(ph)))
+    th, ph, q, ok = _ascend(gbar, n, np.array([s[0] for s in starts]), np.array([s[1] for s in starts]), gtol)
+    best = float(q.max())
+    g = math.gcd(*np.diff(np.flatnonzero(gbar)).tolist())
+    ph = ph % (2.0 * math.pi / g) if g else np.zeros_like(ph)
+    candidates = sorted(
+        ((st.QubitState(th[i], ph[i]), bool(ok[i])) for i in range(len(starts)) if q[i] >= best - 1e-11),
+        key=lambda c: (c[0].theta, c[0].phi),
+    )
+    overlap_val = min(max(best, 1e-300), 1.0)
+    result = st.GeometricResult(-math.log2(overlap_val) + 0.0, candidates[0][0], overlap_val)
+    raises = best < 1.0 / (n + 1) or not any(c[1] for c in candidates)
+    return result, raises
+
+
+def _e_g_outcome(state, grid):
+    try:
+        return st.e_g(state, grid=grid), False
+    except ConvergenceError as err:
+        return err.best, True
+
+
+def _bits(result):
+    return [x.hex() for x in (result.value, result.overlap, result.witness.theta, result.witness.phi)]
+
+
+def _e_g_states():
+    rng = np.random.default_rng(2024)
+    out = [st.dicke_state(n, k) for n in range(1, 13) for k in range(n + 1)]
+    out += [st.ghz_state(n) for n in range(2, 13)] + [st.ghz_state(40)]
+    out += [st.coherent_state(n, uniform_qubit(rng)) for n in (1, 3, 8, 20)]
+    out += [st.coherent_state(5, st.QubitState(0.0, 0.0)), st.coherent_state(6, st.QubitState(math.pi, 0.0))]
+    # an m-fold star among k others
+    out += [st.symmetrize([uniform_qubit(rng)] * m + [uniform_qubit(rng) for _ in range(k)])
+            for m, k in ((2, 2), (3, 5), (4, 8), (5, 1))]
+    out += [haar_state(n, rng) for n in (1, 2, 3, 4, 5, 7, 10, 16, 25, 40) for _ in range(3)]
+    return out
+
+
+class TestGridStarts:
+    """The ascent starts come from an exact top-k selection of the grid."""
+
+    @given(
+        hs.lists(hs.floats(allow_nan=False), min_size=3, max_size=3, unique=True),
+        hs.lists(hs.integers(0, 2), min_size=1, max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_equals_stable_argsort(self, values, picks):
+        q = np.array(values)[picks]
+        for k in range(1, q.size + 3):
+            assert np.array_equal(_top_k(q, k), np.argsort(-q, kind="stable")[:k])
+
+    @pytest.mark.parametrize("grid", [(64, 128), (9, 12), (33, 33)])
+    def test_e_g_bitwise_equals_full_sort_reference(self, grid):
+        for state in _e_g_states():
+            got, got_raises = _e_g_outcome(state, grid)
+            want, want_raises = reference_e_g(state, grid)
+            assert (_bits(got), got_raises) == (_bits(want), want_raises), (state.n, state.d)
 
 
 class TestLargeN:
