@@ -46,6 +46,22 @@ def parse_angle(text: str) -> float:
         raise DomainError(f"cannot parse angle {text!r}") from None
 
 
+# name: (builder of the spec's ':' parts, options of its flag); a spec takes as many parts as the flag takes values
+_NAMED_STATES = {
+    "dicke": (lambda n, k: states.dicke_state(int(n), int(k)),
+              dict(nargs=2, type=int, metavar=("N", "K"), help="Dicke state")),
+    "ghz": (lambda n: states.ghz_state(int(n)), dict(type=int, metavar="N", help="GHZ state of N qubits")),
+    "w": (lambda n: states.dicke_state(int(n), 1),
+          dict(type=int, metavar="N", help="one-excitation Dicke state of N qubits")),
+    "bell": (states.bell_state, dict(metavar="NAME", help="Bell state: psi+, phi+ or phi-")),
+    "tetra": (states.tetrahedron_state, dict(action="store_true", help="4-qubit tetrahedron state")),
+    "rec4": (lambda th, ph: states.rec_family_state(parse_angle(th), parse_angle(ph)),
+             dict(nargs=2, metavar=("THETA", "PHI"), help="rectangle family state (angles allow 'pi' forms)")),
+    "coherent": (lambda n, th, ph: states.coherent_state(int(n), states.QubitState(parse_angle(th), parse_angle(ph))),
+                 dict(nargs=3, metavar=("N", "THETA", "PHI"), help="spin-coherent state")),
+}
+
+
 def build_state(spec: str) -> states.SymmetricState:
     """State mini-language shared by every subcommand.
 
@@ -55,27 +71,13 @@ def build_state(spec: str) -> states.SymmetricState:
     state JSON file path.
     """
     spec = spec.strip()
-    parts = spec.split(":")
-    head = parts[0].lower()
-    try:
-        if head == "dicke" and len(parts) == 3:
-            return states.dicke_state(int(parts[1]), int(parts[2]))
-        if head == "ghz" and len(parts) == 2:
-            return states.ghz_state(int(parts[1]))
-        if head == "w" and len(parts) == 2:
-            return states.dicke_state(int(parts[1]), 1)
-        if head == "bell" and len(parts) == 2:
-            return states.bell_state(parts[1])
-        if head == "tetra" and len(parts) == 1:
-            return states.tetrahedron_state()
-        if head == "rec4" and len(parts) == 3:
-            return states.rec_family_state(parse_angle(parts[1]), parse_angle(parts[2]))
-        if head == "coherent" and len(parts) == 4:
-            return states.coherent_state(
-                int(parts[1]), states.QubitState(parse_angle(parts[2]), parse_angle(parts[3]))
-            )
-    except ValueError as exc:
-        raise DomainError(f"bad state spec {spec!r}: {exc}") from exc
+    head, *parts = spec.split(":")
+    build, flag = _NAMED_STATES.get(head.lower(), (None, {}))
+    if build and len(parts) == flag.get("nargs", 0 if "action" in flag else 1):
+        try:
+            return build(*parts)
+        except ValueError as exc:
+            raise DomainError(f"bad state spec {spec!r}: {exc}") from exc
     if re.fullmatch(r"[01]+", spec):
         qubits = [states.QubitState(0.0 if ch == "0" else math.pi, 0.0) for ch in spec]
         return states.symmetrize(qubits)
@@ -88,12 +90,9 @@ def build_state(spec: str) -> states.SymmetricState:
     raise DomainError(f"unrecognized state spec {spec!r}")
 
 
-_NAMED_STATE_FLAGS = ("dicke", "ghz", "w", "bell", "tetra", "rec4", "coherent")
-
-
 def _state_from_args(args) -> states.SymmetricState:
     """The first named-state flag given, else --state, as a build_state spec."""
-    for flag in _NAMED_STATE_FLAGS:
+    for flag in _NAMED_STATES:
         value = getattr(args, flag, None)
         if value is None or value is False:  # flag not given
             continue
@@ -106,17 +105,8 @@ def _state_from_args(args) -> states.SymmetricState:
 
 def _add_state_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--state", help="state spec: named form, bitstring, or JSON path")
-    parser.add_argument("--dicke", nargs=2, type=int, metavar=("N", "K"), help="Dicke state")
-    parser.add_argument("--ghz", type=int, metavar="N", help="GHZ state of N qubits")
-    parser.add_argument("--w", type=int, metavar="N", help="one-excitation Dicke state of N qubits")
-    parser.add_argument("--bell", metavar="NAME", help="Bell state: psi+, phi+ or phi-")
-    parser.add_argument("--tetra", action="store_true", help="4-qubit tetrahedron state")
-    parser.add_argument(
-        "--rec4", nargs=2, metavar=("THETA", "PHI"), help="rectangle family state (angles allow 'pi' forms)"
-    )
-    parser.add_argument(
-        "--coherent", nargs=3, metavar=("N", "THETA", "PHI"), help="spin-coherent state"
-    )
+    for name, (_, flag) in _NAMED_STATES.items():
+        parser.add_argument(f"--{name}", **flag)
 
 
 def _add_husimi_grid(parser: argparse.ArgumentParser):
@@ -309,19 +299,15 @@ def _hamiltonian_from_args(args) -> hamiltonians.HermitianOperator:
 
 
 def _cmd_evolve(args) -> int:
+    """evolve writes the star trajectory, velocity its velocity profile."""
     h = _hamiltonian_from_args(args)
     psi0 = _state_from_args(args)
     traj = dynamics.evolve(h, psi0, _parse_betas(args.betas, h.n), max_step=args.max_step)
-    _emit(args, dynamics.trajectory_to_csv(traj))
-    return 0
-
-
-def _cmd_velocity(args) -> int:
-    h = _hamiltonian_from_args(args)
-    psi0 = _state_from_args(args)
-    traj = dynamics.evolve(h, psi0, _parse_betas(args.betas, h.n), max_step=args.max_step)
-    profile = dynamics.velocity_profile(traj, divergence_threshold=args.divergence_threshold)
-    _emit(args, dynamics.velocity_to_csv(profile))
+    if args.command == "velocity":
+        profile = dynamics.velocity_profile(traj, divergence_threshold=args.divergence_threshold)
+        _emit(args, dynamics.velocity_to_csv(profile))
+    else:
+        _emit(args, dynamics.trajectory_to_csv(traj))
     return 0
 
 
@@ -396,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="flag |dtheta/dbeta| above this as a divergence window (default 10)",
             )
         _add_out(p)
-        p.set_defaults(func=_cmd_evolve if name == "evolve" else _cmd_velocity)
+        p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("reduce", help="block-diagonalize exp(-i*beta*H) in the Dicke basis")
     p.add_argument("--hamiltonian", required=True, help="Hamiltonian expression")

@@ -2,15 +2,16 @@
 
 Expression grammar (whitespace insensitive)::
 
-    expr   := [sign] term (sign term)*
-    sign   := '+' | '-'
-    term   := [coeff '*'] body
-    body   := 'sym(' factor+ ')'
-            | factor ('x' factor)*
-            | 'H(' digit ',' digit ')'
-    coeff  := decimal | decimal '/' decimal
-            | '1/sqrt(' decimal ')' | 'sqrt(' decimal ')'
-    factor := 'I' | 'X' | 'Y' | 'Z' | 'P0' | 'P1'
+    expr    := [sign] term (sign [sign] term)*
+    sign    := '+' | '-'
+    term    := [coeff '*'] body
+    body    := 'sym(' factor+ ')'
+             | factor ('x' factor)*
+             | 'H(' digit ',' digit ')'
+    coeff   := operand | decimal '/' operand
+    operand := decimal | 'sqrt(' decimal ')'
+    decimal := digit+ ['.' digit*] [('e' | 'E') [sign] digit+]
+    factor  := 'I' | 'X' | 'Y' | 'Z' | 'P0' | 'P1'
 
 ``sym(...)`` expands to the sum over all distinct arrangements of its
 factor list (each arrangement once); ``H(i, j)`` is the symmetrized
@@ -171,7 +172,7 @@ class _Parser:
         self.expect("sym", ")")
         return math.sqrt(value), num
 
-    # coeff := decimal | decimal '/' operand | 'sqrt(' decimal ')'
+    # coeff := operand | decimal '/' operand
     def coefficient(self) -> float:
         if self.peek().kind == "name":
             return self.operand()[0]
@@ -235,26 +236,23 @@ class _Parser:
             return self.body(sign * coeff)
         return self.body(sign * 1.0)
 
-    def expression(self) -> HamiltonianExpr:
-        terms = []
-        sign = 1.0
+    # [sign]: -1.0 for a '-' it consumes, else 1.0
+    def sign(self) -> float:
         tok = self.peek()
         if tok.kind == "sym" and tok.text in "+-":
             self.advance()
-            sign = -1.0 if tok.text == "-" else 1.0
-        first = self.peek()
-        terms.append((first, self.term(sign)))
+            return -1.0 if tok.text == "-" else 1.0
+        return 1.0
+
+    def expression(self) -> HamiltonianExpr:
+        sign = self.sign()
+        terms = [(self.peek(), self.term(sign))]
         while self.peek().kind != "end":
             op = self.expect("sym")
             if op.text not in "+-":
                 raise ExpressionSyntaxError("expected '+' or '-'", op.line, op.column, op.text)
-            sign = -1.0 if op.text == "-" else 1.0
-            nxt = self.peek()
-            if nxt.kind == "sym" and nxt.text in "+-":
-                self.advance()
-                sign *= -1.0 if nxt.text == "-" else 1.0
-            start = self.peek()
-            terms.append((start, self.term(sign)))
+            sign = (-1.0 if op.text == "-" else 1.0) * self.sign()
+            terms.append((self.peek(), self.term(sign)))
         arity = terms[0][1].arity
         for start, t in terms[1:]:
             if t.arity != arity:

@@ -69,10 +69,7 @@ class GeometricResult:
 def barycenter(c: Constellation) -> Barycenter:
     """Arithmetic mean of the star unit vectors."""
     v = c.as_array().mean(axis=0)
-    b = Barycenter(float(v[0]), float(v[1]), float(v[2]))
-    if b.d > 1.0 + 1e-12:
-        raise DomainError(f"barycenter radius {b.d} exceeds 1")
-    return b
+    return Barycenter(float(v[0]), float(v[1]), float(v[2]))
 
 
 def _e_b(v: np.ndarray) -> np.ndarray:
@@ -177,8 +174,7 @@ def _top_k(q: np.ndarray, k: int) -> np.ndarray:
     np.partition finds the k-th largest value, and only the entries above
     it and the first entries equal to it are sorted.
     """
-    if k >= q.size:
-        return np.argsort(-q, kind="stable")
+    k = min(k, q.size)
     kth = np.partition(q, q.size - k)[q.size - k]
     above = np.flatnonzero(q > kth)
     keep = np.concatenate([above, np.flatnonzero(q == kth)[: k - above.size]])

@@ -429,7 +429,7 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
             rows = slice(None) if len(groups) == 1 else members
             w[rows, n - l + f :], radii[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
     rows = (last > first).nonzero()[0]
-    v = _chart(w) if rows.size else np.zeros((m, n, 3)) + (0.0, 0.0, 1.0)
+    v = _chart(w)
     if first.any():
         v[np.arange(n) < first[:, None]] = (0.0, 0.0, -1.0)
     if rows.size:

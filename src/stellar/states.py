@@ -21,7 +21,6 @@ import cmath
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -361,7 +360,7 @@ def rec_family_state(theta: float, phi: float) -> SymmetricState:
         raise DomainError(f"phi must lie in [0, pi], got {phi}")
     theta = min(max(theta, 0.0), math.pi / 2)
     phi = min(max(phi, 0.0), math.pi)
-    state = symmetrize(
+    return symmetrize(
         [
             QubitState(theta, phi),
             QubitState(theta, phi + math.pi),
@@ -369,14 +368,6 @@ def rec_family_state(theta: float, phi: float) -> SymmetricState:
             QubitState(math.pi - theta, math.pi),
         ]
     )
-    # only the k = 0, 2, 4 Dicke components should survive
-    stray = max(abs(state.d[1]), abs(state.d[3]))
-    if stray > 1e-12:
-        warnings.warn(
-            f"rectangle-family state has unexpected odd-weight amplitude {stray:.3e}",
-            stacklevel=2,
-        )
-    return state
 
 
 def tetrahedron_state() -> SymmetricState:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
-from stellar.cli import build_state, main, parse_angle
+from stellar.cli import _NAMED_STATES, build_state, main, parse_angle
 
 
 def run_cli(capsys, args):
@@ -62,6 +62,34 @@ class TestStateSpecs:
     def test_unknown(self):
         with pytest.raises(st.DomainError):
             build_state("nonsense:thing")
+
+
+class TestNamedStates:
+    """Each named state reads the same through its flag and through --state NAME:PART:..."""
+
+    VALUES = {"dicke": ["6", "2"], "ghz": ["4"], "w": ["5"], "bell": ["phi-"], "tetra": [],
+              "rec4": ["pi/4", "0.3"], "coherent": ["5", "1.1", "0.4"]}
+    INTEGER_FLAGS = {"dicke", "ghz", "w"}  # argparse refuses their non-integer values as usage errors
+
+    def test_every_named_state_listed(self):
+        assert list(self.VALUES) == list(_NAMED_STATES)
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_flag_and_spec_print_the_same_bytes(self, capsys, name):
+        values = self.VALUES[name]
+        by_flag = run_cli(capsys, ["stars", f"--{name}", *values])
+        assert by_flag[0] == 0 and by_flag[1]
+        assert run_cli(capsys, ["stars", "--state", ":".join([name, *values])]) == by_flag
+
+    @pytest.mark.parametrize("name", [name for name, values in VALUES.items() if values])
+    def test_malformed_part_exit_codes(self, capsys, name):
+        values = ["x", *self.VALUES[name][1:]]
+        try:
+            code = main(["stars", f"--{name}", *values])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code == (2 if name in self.INTEGER_FLAGS else 3)
+        assert main(["stars", "--state", ":".join([name, *values])]) == 3
 
 
 class TestMeasureCommand:

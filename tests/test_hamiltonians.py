@@ -227,6 +227,40 @@ class TestPrettyPrint:
         expr = st.HamiltonianExpr((PairTerm(-0.25, 1, 3), PairTerm(2.0, 0, 2)))
         assert parse(pretty(expr)) == expr
 
+    # one expression per production of the module docstring's grammar, with the terms it parses to
+    @pytest.mark.parametrize(
+        "src,terms",
+        [
+            ("X x Y", (TensorTerm(1.0, ("X", "Y")),)),  # term
+            ("+X x Y", (TensorTerm(1.0, ("X", "Y")),)),  # [sign] term
+            ("-X x Y", (TensorTerm(-1.0, ("X", "Y")),)),
+            ("Z x Z + X x X", (TensorTerm(1.0, ("Z", "Z")), TensorTerm(1.0, ("X", "X")))),  # sign term
+            ("Z x Z - X x X", (TensorTerm(1.0, ("Z", "Z")), TensorTerm(-1.0, ("X", "X")))),
+            ("Z x Z + -0.5*X x X", (TensorTerm(1.0, ("Z", "Z")), TensorTerm(-0.5, ("X", "X")))),  # sign sign term
+            ("Z x Z - -X x X", (TensorTerm(1.0, ("Z", "Z")), TensorTerm(1.0, ("X", "X")))),
+            ("Z x Z - +X x X", (TensorTerm(1.0, ("Z", "Z")), TensorTerm(-1.0, ("X", "X")))),
+            ("sym(X Z P0)", (SymTerm(1.0, ("X", "Z", "P0")),)),  # body: sym
+            ("I x X x Y x Z x P0 x P1", (TensorTerm(1.0, ("I", "X", "Y", "Z", "P0", "P1")),)),  # body: tensor
+            ("H(2,3)", (PairTerm(1.0, 2, 3),)),  # body: pair
+            ("3*Z", (TensorTerm(3.0, ("Z",)),)),  # decimal: digits
+            ("2.*Z", (TensorTerm(2.0, ("Z",)),)),  # decimal: digits '.'
+            ("0.25*Z", (TensorTerm(0.25, ("Z",)),)),  # decimal: digits '.' digits
+            ("1e-05*Z", (TensorTerm(1e-05, ("Z",)),)),  # decimal: exponent with its sign, as pretty writes it
+            ("2.5E+3*Z", (TensorTerm(2500.0, ("Z",)),)),
+            ("1e2*Z", (TensorTerm(100.0, ("Z",)),)),
+            ("sqrt(2)*Z", (TensorTerm(math.sqrt(2.0), ("Z",)),)),  # coeff: operand 'sqrt(' decimal ')'
+            ("1/4*Z", (TensorTerm(0.25, ("Z",)),)),  # coeff: decimal '/' decimal
+            ("2/sqrt(3)*Z", (TensorTerm(2.0 / math.sqrt(3.0), ("Z",)),)),  # coeff: decimal '/' 'sqrt(' decimal ')'
+        ],
+    )
+    def test_grammar_productions_round_trip(self, src, terms):
+        expr = parse(src)
+        assert expr.terms == terms
+        assert parse(pretty(expr)) == expr
+
+    def test_pretty_writes_exponents(self):
+        assert pretty(parse("0.00001*Z")) == "1e-05*Z"
+
 
 def _kron_chain(factors):
     out = FACTORS[factors[0]]

@@ -46,6 +46,24 @@ class TestBarycenter:
     def test_dicke_10_3_value(self):
         assert st.barycenter(st.state_to_stars(st.dicke_state(10, 3))).d == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("kind", ["random", "clustered", "coincident"])
+    def test_radius_past_one_by_rounding_only(self, kind):
+        # the mean of n unit vectors sums with relative error (n - 1) * eps / 2 at most, and the
+        # normalization, the division and the norm add a few roundings: far below 1e-12 for any n here
+        eps, rng = np.finfo(float).eps, np.random.default_rng(58)
+        for n in (1, 2, 3, 5, 8, 13, 24, 40, 58, 200, 1000):
+            for _ in range(40 if n <= 58 else 2):
+                centre = rng.normal(size=3)
+                if kind == "random":
+                    vectors = rng.normal(size=(n, 3))
+                elif kind == "clustered":
+                    vectors = centre + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-16, -6, size=(n, 1))
+                else:
+                    vectors = np.repeat(centre[None], n, axis=0)
+                vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+                c = st.Constellation(n, tuple(st.Star(*v) for v in vectors.tolist()))
+                assert st.barycenter(c).d <= 1.0 + (n / 2 + 4) * eps
+
 
 class TestBarycentricMeasure:
     def test_two_qubit_family(self):
@@ -234,6 +252,12 @@ class TestRectangleFamily:
     def test_component_pattern(self):
         s = st.rec_family_state(0.8, 2.0)
         assert abs(s.d[1]) < 1e-12 and abs(s.d[3]) < 1e-12
+
+    def test_odd_weight_amplitudes_vanish_to_rounding(self):
+        # grid edges included: theta in [0, pi/2], phi in [0, pi]
+        grid = [(th, ph) for th in np.linspace(0, math.pi / 2, 61) for ph in np.linspace(0, math.pi, 61)]
+        for s in [*(st.rec_family_state(th, ph) for th, ph in grid), st.tetrahedron_state()]:
+            assert max(abs(s.d[1]), abs(s.d[3])) <= 1e-15
 
     def test_printed_component_ratio(self):
         # middle amplitude over corner amplitude, from the closed form:
