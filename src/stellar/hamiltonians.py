@@ -19,6 +19,10 @@ two-qubit pair (s_i x s_j + s_j x s_i)/2 over I, X, Y, Z with indices
 0..3.  All bodies in one expression must act on the same number of
 qubits.  This grammar is also the wire format of the CLI
 ``--hamiltonian`` flag.
+
+A rejected expression raises an ``ExpressionError`` carrying the 1-based
+line and column of the offending token and its text.  Each newline starts
+a new line; the end of the input has a position too (token ``''``).
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_MATRIX_BYTES, DomainError, ExpressionSemanticError, ExpressionSyntaxError, _check_bytes
+from .errors import MAX_MATRIX_BYTES, DomainError, ExpressionError, ExpressionSemanticError, ExpressionSyntaxError, _check_bytes
 
 __all__ = [
     "TensorTerm",
@@ -100,73 +105,63 @@ class HamiltonianExpr:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/(),])"
+    r"(?P<ws>\s+)|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/(),])|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | sym | end
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ExpressionSyntaxError("unrecognized character", line, col, src[pos])
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+    offset: int  # into the source
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
+        self.src = src
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(src):
+            if m.lastgroup == "bad":
+                raise self.error(ExpressionSyntaxError, "unrecognized character", _Token("bad", m[0], m.start()))
+            if m.lastgroup != "ws":
+                self.tokens.append(_Token(m.lastgroup, m[0], m.start()))
+        self.tokens.append(_Token("end", "", len(src)))
         self.pos = 0
+
+    def error(self, cls: type[ExpressionError], message: str, tok: _Token, text: str | None = None) -> ExpressionError:
+        """A cls error at tok's 1-based line and column, the only place an offset becomes a position."""
+        line = self.src.count("\n", 0, tok.offset) + 1
+        column = tok.offset - self.src.rfind("\n", 0, tok.offset)
+        return cls(message, line, column, tok.text if text is None else text)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``; no two kinds share a text."""
+        if self.tokens[self.pos].text != text:
+            return False
         self.pos += 1
-        return tok
+        return True
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ExpressionSyntaxError(f"expected {want!r}", tok.line, tok.column, tok.text)
-        return self.advance()
+            raise self.error(ExpressionSyntaxError, f"expected {text or kind!r}", tok)
+        self.pos += 1
+        return tok
 
     def number(self) -> tuple[float, _Token]:
         tok = self.expect("number")
         value = float(tok.text)
         if not math.isfinite(value):
-            raise ExpressionSemanticError("coefficient is not finite", tok.line, tok.column, tok.text)
+            raise self.error(ExpressionSemanticError, "coefficient is not finite", tok)
         return value, tok
 
     # operand := decimal | 'sqrt(' decimal ')'; returns the value and its number token
     def operand(self) -> tuple[float, _Token]:
-        tok = self.peek()
-        if not (tok.kind == "name" and tok.text == "sqrt"):
+        if not self.accept("sqrt"):
             return self.number()
-        self.advance()
         self.expect("sym", "(")
         value, num = self.number()
         self.expect("sym", ")")
@@ -177,34 +172,30 @@ class _Parser:
         if self.peek().kind == "name":
             return self.operand()[0]
         value, _ = self.number()
-        if self.peek().kind == "sym" and self.peek().text == "/":
-            self.advance()
+        if self.accept("/"):
             divisor, tok = self.operand()
             if divisor == 0.0:
-                raise ExpressionSemanticError("division by zero", tok.line, tok.column, tok.text)
+                raise self.error(ExpressionSemanticError, "division by zero", tok)
             value /= divisor
             if not math.isfinite(value):
-                raise ExpressionSemanticError("coefficient is not finite", tok.line, tok.column, tok.text)
+                raise self.error(ExpressionSemanticError, "coefficient is not finite", tok)
         return value
 
     def factor(self) -> str:
         tok = self.expect("name")
         if tok.text not in FACTORS:
-            raise ExpressionSyntaxError("unknown factor", tok.line, tok.column, tok.text)
+            raise self.error(ExpressionSyntaxError, "unknown factor", tok)
         return tok.text
 
     def body(self, coeff: float) -> Term:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "sym":
-            self.advance()
+        if self.accept("sym"):
             self.expect("sym", "(")
             factors = [self.factor()]
             while self.peek().kind == "name":
                 factors.append(self.factor())
             self.expect("sym", ")")
             return SymTerm(coeff, tuple(factors))
-        if tok.kind == "name" and tok.text == "H":
-            self.advance()
+        if self.accept("H"):
             self.expect("sym", "(")
             i_tok = self.expect("number")
             self.expect("sym", ",")
@@ -213,35 +204,28 @@ class _Parser:
             try:
                 i, j = int(i_tok.text), int(j_tok.text)
             except ValueError:
-                raise ExpressionSyntaxError(
-                    "pair indices must be integers", i_tok.line, i_tok.column, i_tok.text
-                ) from None
+                raise self.error(ExpressionSyntaxError, "pair indices must be integers", i_tok) from None
             if not (0 <= i <= 3 and 0 <= j <= 3):
-                raise ExpressionSemanticError(
-                    "pair indices must lie in 0..3", i_tok.line, i_tok.column, f"{i},{j}"
-                )
+                raise self.error(ExpressionSemanticError, "pair indices must lie in 0..3", i_tok, f"{i},{j}")
             return PairTerm(coeff, i, j)
         factors = [self.factor()]
-        while self.peek().kind == "name" and self.peek().text == "x":
-            self.advance()
+        while self.accept("x"):
             factors.append(self.factor())
         return TensorTerm(coeff, tuple(factors))
 
     def term(self, sign: float) -> Term:
         tok = self.peek()
         # a leading number or sqrt means an explicit coefficient follows
-        if tok.kind == "number" or (tok.kind == "name" and tok.text == "sqrt"):
-            coeff = self.coefficient()
+        if tok.kind == "number" or tok.text == "sqrt":
+            sign *= self.coefficient()
             self.expect("sym", "*")
-            return self.body(sign * coeff)
-        return self.body(sign * 1.0)
+        return self.body(sign)
 
     # [sign]: -1.0 for a '-' it consumes, else 1.0
     def sign(self) -> float:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in "+-":
-            self.advance()
-            return -1.0 if tok.text == "-" else 1.0
+        if self.accept("-"):
+            return -1.0
+        self.accept("+")
         return 1.0
 
     def expression(self) -> HamiltonianExpr:
@@ -250,18 +234,14 @@ class _Parser:
         while self.peek().kind != "end":
             op = self.expect("sym")
             if op.text not in "+-":
-                raise ExpressionSyntaxError("expected '+' or '-'", op.line, op.column, op.text)
+                raise self.error(ExpressionSyntaxError, "expected '+' or '-'", op)
             sign = (-1.0 if op.text == "-" else 1.0) * self.sign()
             terms.append((self.peek(), self.term(sign)))
         arity = terms[0][1].arity
         for start, t in terms[1:]:
             if t.arity != arity:
-                raise ExpressionSemanticError(
-                    f"term acts on {t.arity} qubits but the expression acts on {arity}",
-                    start.line,
-                    start.column,
-                    start.text,
-                )
+                message = f"term acts on {t.arity} qubits but the expression acts on {arity}"
+                raise self.error(ExpressionSemanticError, message, start)
         return HamiltonianExpr(tuple(t for _, t in terms))
 
 
@@ -339,22 +319,18 @@ def _check_hermitian(m: np.ndarray) -> None:
 def _arrangements(factors: tuple[str, ...]):
     """Distinct arrangements of a factor list in lexicographic order.
 
-    Next-permutation over the sorted list, so each arrangement of the
-    multiset appears once and n! orderings are never enumerated.
+    Each distinct factor leads in sorted order, followed by the
+    arrangements of the rest (copies of a single factor have one), so n!
+    orderings are never enumerated.
     """
-    a = sorted(factors)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
+    distinct = sorted(set(factors))
+    if len(distinct) < 2:
+        yield factors
+        return
+    for first in distinct:
+        i = factors.index(first)
+        for rest in _arrangements(factors[:i] + factors[i + 1 :]):
+            yield (first, *rest)
 
 
 # row bit b of a factor has its one possible nonzero entry in column b ^ flip

@@ -131,9 +131,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_domain_error_is_3(self, capsys):
-        code, _, _ = run_cli(capsys, ["measure", "--dicke", "4", "9", "--eb"])
-        assert code == 3
+    @pytest.mark.parametrize(
+        "args,env",
+        [
+            pytest.param(["measure", "--dicke", "4", "9", "--eb"], {}, id="dicke-label"),
+            pytest.param(["sweep", "--family", "rec4", "--grid", "1x5"], {}, id="rec4-grid"),
+            pytest.param(["evolve", "--hamiltonian", "X x X", "--state", "00", "--betas", "0:1:x"], {}, id="betas-count"),
+            pytest.param(["evolve", "--hamiltonian", "X x X", "--state", "00", "--betas", "0:1:1"], {}, id="betas-one"),
+            pytest.param(["compose", "--state", "01"], {}, id="compose-one-state"),
+            pytest.param(["sweep", "--family", "dicke"], {}, id="dicke-without-n"),
+            pytest.param(["sweep", "--family", "foo"], {}, id="unknown-family"),
+            pytest.param(["random", "--n", "3"], {"STELLAR_SEED": "abc"}, id="seed-env"),
+        ],
+    )
+    def test_domain_error_is_3(self, capsys, monkeypatch, args, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, args)
+        assert (code, out) == (3, "") and err.startswith("error:")
 
     def test_grid_missing_every_maximum_is_4(self, capsys):
         code, out, err = run_cli(capsys, ["measure", "--dicke", "3", "1", "--eg", "--husimi-grid", "2x2"])

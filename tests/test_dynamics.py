@@ -765,6 +765,15 @@ class TestArgumentValidation:
         with pytest.raises(ResourceError, match="bytes"):  # the grid fits, its refinement does not
             st.evolve(h, st.dicke_state(2, 0), np.linspace(0.0, 1.4, 10), max_step=1e-3)
 
+    @pytest.mark.parametrize(
+        "n,betas,match", [(3, [0.0, 1.0], "acts on 2 qubits"), (2, [], "non-empty")], ids=["qubit-count", "empty-grid"]
+    )
+    def test_evolve_qubit_count_and_grid(self, n, betas, match):
+        h = st.build_matrix(parse(XY_HALF))
+        with pytest.raises(DomainError, match=match) as err:
+            st.evolve(h, st.dicke_state(n, 0), betas)
+        assert type(err.value) is DomainError
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_velocity_divergence_threshold(self, threshold):
         traj = st.evolve(st.build_matrix(parse(XY_HALF)), st.dicke_state(2, 0), np.linspace(0, 1, 5))

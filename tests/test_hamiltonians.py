@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 import stellar as st
 from stellar.dynamics import operator_symmetry_deficit
 from stellar.states import _exactly_symmetric
-from stellar.errors import DomainError, ExpressionSemanticError, ExpressionSyntaxError, ResourceError
+from stellar.errors import DomainError, ExpressionError, ExpressionSemanticError, ExpressionSyntaxError, ResourceError
 from stellar.hamiltonians import (
     FACTORS,
     MAX_MATRIX_BYTES,
@@ -24,6 +24,10 @@ from stellar.hamiltonians import (
 )
 
 X, Y, Z, I2 = FACTORS["X"], FACTORS["Y"], FACTORS["Z"], FACTORS["I"]
+
+# grammar tokens, whitespace with newlines and tabs, and characters the grammar has no place for
+_SOURCE_PIECES = ["sym(", "H(", "sqrt(", "(", ")", ",", "+", "-", "*", "/", "x", "X", "Y", "Z", "I", "P0", "Q",
+                  "0", "3", "4", "0.5", "1e999", "2e-400", " ", "\n", "\t", "\r\n", "@", "#", "é"]
 
 
 class TestParse:
@@ -58,11 +62,23 @@ class TestParse:
         expr = parse("Z x Z - X x X")
         assert expr.terms[1].coeff == -1.0
 
-    def test_unknown_factor_reports_location(self):
+    @pytest.mark.parametrize(
+        "src,message,line,column,token",
+        [
+            pytest.param("X x Q", "unknown factor", 1, 5, "Q", id="unknown-factor"),
+            pytest.param("0.5*X x X\n\t+ Y @ Y", "unrecognized character", 2, 6, "@", id="character-on-line-2"),
+            pytest.param("H(1.5,2)", "pair indices must be integers", 1, 3, "1.5", id="pair-index"),
+            pytest.param("X x X +\n\tH(1.5,2)", "pair indices must be integers", 2, 4, "1.5", id="pair-index-on-line-2"),
+            pytest.param("X Y", "expected 'sym'", 1, 3, "Y", id="no-separator"),
+            pytest.param("X x X\n\t) Y", "expected '+' or '-'", 2, 2, ")", id="wrong-separator"),
+            pytest.param("X x X +\n0.5*", "expected 'name'", 2, 5, "", id="end-of-input"),
+        ],
+    )
+    def test_unknown_factor_reports_location(self, src, message, line, column, token):
         with pytest.raises(ExpressionSyntaxError) as err:
-            parse("X x Q")
-        assert err.value.token == "Q"
-        assert err.value.line == 1 and err.value.column == 5
+            parse(src)
+        assert str(err.value).startswith(message + " (")
+        assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
 
     def test_truncated_input(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -90,13 +106,31 @@ class TestParse:
             ("sqrt(1e999)*Z", "1e999"),
             ("Z + 1/sqrt(1e999)*Z", "1e999"),
             ("1e300/1e-300*Z", "1e-300"),
+            ("Z +\n\t1/sqrt(0)*Z", "0"),
+            ("X x X\n\t+ 1e999*Y x Y", "1e999"),
+            ("X x X\n+ Y x Y\n+ \tZ", "Z"),  # the wrong arity, on line 3
         ],
     )
     def test_bad_coefficient_reports_location(self, src, token):
         with pytest.raises(ExpressionSemanticError) as err:
             parse(src)
         assert err.value.token == token
-        assert src[err.value.column - 1 :].startswith(token)
+        assert src.split("\n")[err.value.line - 1][err.value.column - 1 :].startswith(token)
+
+    @given(hs.lists(hs.sampled_from(_SOURCE_PIECES), max_size=16).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_error_token_starts_at_its_position(self, src):
+        try:
+            parse(src)
+        except ExpressionError as err:
+            lines = src.split("\n")
+            assert 1 <= err.line <= len(lines) and 1 <= err.column <= len(lines[err.line - 1]) + 1
+            offset = sum(len(text) + 1 for text in lines[: err.line - 1]) + err.column - 1
+            if str(err).startswith("pair indices must lie"):  # the token names both indices, the position the first
+                assert src[offset].isdigit()
+            else:
+                assert src.startswith(err.token, offset)
+            assert err.token != "" or offset == len(src)  # only the end of the input has an empty token
 
     def test_whitespace_insensitive(self):
         a = st.build_matrix(parse("1/sqrt(2)*H(2,3)+1/sqrt(2)*H(0,3)")).matrix
@@ -149,6 +183,12 @@ class TestBuildMatrix:
         assert 16 * 4**13 <= MAX_MATRIX_BYTES < 16 * 4**14
         with pytest.raises(ResourceError, match=str(16 * 4**14)):
             st.build_matrix(parse("sym(Z Z" + " I" * 12 + ")"))
+
+    @pytest.mark.parametrize("n,shape", [(2, (2, 2)), (1, (4, 4)), (2, (4, 2)), (1, (2,))])
+    def test_shape_mismatch_is_domain_error(self, n, shape):
+        with pytest.raises(DomainError, match="shape") as err:
+            HermitianOperator(n, np.zeros(shape))
+        assert type(err.value) is DomainError
 
     def test_non_finite_matrix_rejected(self):
         for bad in (np.inf, np.nan, complex(0, np.inf)):

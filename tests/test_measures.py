@@ -197,6 +197,12 @@ class TestDickeClosedForm:
     def test_known_value(self):
         assert st.e_g_dicke(4, 2).value == pytest.approx(math.log2(8 / 3), abs=1e-15)
 
+    @pytest.mark.parametrize("n,k", [(0, 0), (3, 4), (3, -1)])
+    def test_invalid_label_is_domain_error(self, n, k):
+        with pytest.raises(DomainError, match="label") as err:
+            st.e_g_dicke(n, k)
+        assert type(err.value) is DomainError
+
     @pytest.mark.parametrize("n", [80, 100, 150, 300])
     def test_optimizer_at_large_n(self, n):
         # the convergence floor depends on n alone, so the ascent polishes

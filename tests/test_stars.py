@@ -52,6 +52,12 @@ class TestStar:
         with pytest.raises(DomainError):
             st.Star(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n,count,match", [(0, 0, "at least one"), (-1, 0, "at least one"), (3, 2, "expected 3")])
+    def test_constellation_size_is_domain_error(self, n, count, match):
+        with pytest.raises(DomainError, match=match) as err:
+            st.Constellation(n, [st.Star(0.0, 0.0, 1.0)] * count)
+        assert type(err.value) is DomainError
+
     def test_antipode(self):
         s = uniform_star(RNG)
         assert st.geodesic_distance(s, s.antipode()) == pytest.approx(math.pi, abs=1e-12)

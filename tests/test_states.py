@@ -403,6 +403,40 @@ class TestConstructorInvariants:
         for n in (2, 5, 9):
             assert abs(np.linalg.norm(st.ghz_state(n).d) - 1.0) < 1e-12
 
+    def test_bell_states(self):
+        assert np.array_equal(st.bell_state("psi+").d, st.dicke_state(2, 1).d)
+        r = 1.0 / math.sqrt(2.0)
+        assert np.abs(st.bell_state("phi+").d - [r, 0.0, r]).max() <= 1e-16
+
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            pytest.param(lambda: st.QubitState(math.nan, 0.0), DomainError, "finite", id="qubit-nan-theta"),
+            pytest.param(lambda: st.QubitState(1.0, -math.inf), DomainError, "finite", id="qubit-inf-phi"),
+            pytest.param(lambda: st.SymmetricState(2, [1.0, 0.0]), DomainError, "expected 3", id="dicke-count"),
+            pytest.param(lambda: st.FullState(0, [1.0]), DomainError, "at least one", id="full-no-qubit"),
+            pytest.param(lambda: st.FullState(2, [1.0, 0.0]), DomainError, "expected 4", id="full-count"),
+            pytest.param(
+                lambda: st.overlap(st.dicke_state(2, 0), st.dicke_state(3, 0)), DomainError, "equal", id="overlap-n"
+            ),
+            pytest.param(lambda: st.symmetrization_constant([]), DomainError, "at least one", id="constant-empty"),
+            pytest.param(
+                lambda: st.symmetrization_constant([st.QubitState(0.0, 0.0)] * 171),
+                ResourceError,
+                "float range",
+                id="constant-171",
+            ),
+            pytest.param(lambda: st.nk_to_jm(0, 0), DomainError, "label", id="nk-no-qubit"),
+            pytest.param(lambda: st.nk_to_jm(3, 4), DomainError, "label", id="nk-k-above-n"),
+            pytest.param(lambda: st.nk_to_jm(3, -1), DomainError, "label", id="nk-negative-k"),
+            pytest.param(lambda: st.bell_state("psi-"), DomainError, "antisymmetric", id="bell-singlet"),
+        ],
+    )
+    def test_invalid_arguments_raise_typed_errors(self, call, error, match):
+        with pytest.raises(error, match=match) as err:
+            call()
+        assert type(err.value) is error
+
 
 class TestAnyFiniteScale:
     """A finite row normalizes at any scale; only an all-zero row is refused."""
