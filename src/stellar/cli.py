@@ -20,6 +20,9 @@ import numpy as np
 from . import composition, dynamics, hamiltonians, measures, stars, states
 from .errors import DomainError, ExpressionError, ResourceError, StellarError, _check_bytes
 
+# the exit code of the first class an error is an instance of: usage, domain or size, numeric or symmetry and any other
+_EXIT_CODES = ((ExpressionError, 2), ((DomainError, ResourceError), 3), (StellarError, 4))
+
 # the coefficient needs a digit once it has a point, so '.pi' is no angle
 _PI_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
@@ -29,17 +32,11 @@ def parse_angle(text: str) -> float:
     text = text.strip()
     m = _PI_RE.match(text)
     if m:
-        coef_text = m.group(1)
-        if coef_text in ("", "+"):
-            coef = 1.0
-        elif coef_text == "-":
-            coef = -1.0
-        else:
-            coef = float(coef_text)
+        coef = m.group(1) + ("" if m.group(1).strip("+-") else "1")  # a bare sign, or nothing, stands for 1
         div = float(m.group(2)) if m.group(2) else 1.0
         if div == 0.0:
             raise DomainError(f"zero divisor in angle {text!r}")
-        return coef * math.pi / div
+        return float(coef) * math.pi / div
     try:
         return float(text)
     except ValueError:
@@ -82,12 +79,17 @@ def build_state(spec: str) -> states.SymmetricState:
         qubits = [states.QubitState(0.0 if ch == "0" else math.pi, 0.0) for ch in spec]
         return states.symmetrize(qubits)
     if os.path.exists(spec) or spec.endswith(".json"):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                return states.state_from_json(fh.read())
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"cannot read state file {spec!r}: {exc}") from exc
+        return _read_file(spec, "state file", states.state_from_json)
     raise DomainError(f"unrecognized state spec {spec!r}")
+
+
+def _read_file(path: str, what: str, read):
+    """read(text) of the file at path; a file that cannot be opened, decoded or read is a DomainError naming what."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(fh.read())
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise DomainError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _state_from_args(args) -> states.SymmetricState:
@@ -117,18 +119,6 @@ def _add_husimi_grid(parser: argparse.ArgumentParser):
         metavar="RxC",
         help="coarse sphere grid for the Husimi maximizer (default 64x128)",
     )
-
-
-def _add_out(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", help="write the result here instead of stdout")
-
-
-def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_grid(text: str, line: bool = False) -> tuple[int, int]:
@@ -163,16 +153,14 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"  # +0.0 folds -0.0 into 0.0
 
 
-def _cmd_stars(args) -> int:
+def _cmd_stars(args) -> str:
     c = stars.state_to_stars(_state_from_args(args))
     if args.format == "csv":
-        _emit(args, stars.constellation_to_csv(c))
-    else:
-        _emit(args, stars.constellation_to_json(c) + "\n")
-    return 0
+        return stars.constellation_to_csv(c)
+    return stars.constellation_to_json(c) + "\n"
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> str:
     state = _state_from_args(args)
     fields = []
     if args.eb or not args.eg:
@@ -186,72 +174,73 @@ def _cmd_measure(args) -> int:
         text = "{" + ", ".join(f'"{name}": {value}' for (name, _), value in zip(fields, values)) + "}"
     else:  # the text form reports the measures alone
         text = "\n".join(f"{name} = {_fmt(value)}" for name, value in fields if name in ("E_B", "E_G"))
-    _emit(args, text + "\n")
-    return 0
+    return text + "\n"
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> str:
     if len(args.state) < 2:
         raise DomainError("compose needs at least two --state inputs")
     parts = [build_state(s) for s in args.state]
     out = parts[0]
     for nxt in parts[1:]:
         out = composition.compose(out, nxt)
-    _emit(args, states.state_to_json(out) + "\n")
-    return 0
+    return states.state_to_json(out) + "\n"
 
 
-_FAMILIES = ("rec4", "twoqubit", "threequbit", "dicke")
+def _line_axis(args) -> list[tuple[float, int]]:
+    """A bare N, or the R of RxC, points over [0, pi]."""
+    return [(math.pi, _parse_grid(args.grid, line=True)[0])]
+
+
+def _dicke_axis(args) -> list[tuple[float, int]]:
+    if args.n is None:
+        raise DomainError("--family dicke requires --n")
+    if args.n < 1:
+        raise DomainError(f"--family dicke needs --n of at least 1, got {args.n}")
+    return [(float(args.n), args.n + 1)]  # steps of exactly 1.0: k = 0, 1, ..., n
+
+
+def _qubits(th, *phis) -> states.SymmetricState:
+    """The line families' state: |0> symmetrized with |th, phi> for each phi."""
+    return states.symmetrize([states.QubitState(0.0, 0.0), *(states.QubitState(th, ph) for ph in phis)])
+
+
+# name: (grid rule, from the args to the (stop, count) of each parameter axis, each from 0; the state at a point).
+# The builders are looked up as each state is built, not stored here, so that a replaced builder is the one called.
+_FAMILIES = {
+    "rec4": (lambda args: list(zip((math.pi / 2.0, math.pi), _parse_grid(args.grid))),
+             lambda args, th, ph: states.rec_family_state(th, ph)),
+    "twoqubit": (_line_axis, lambda args, th: _qubits(th, 0.0)),
+    "threequbit": (_line_axis, lambda args, th: _qubits(th, math.pi, 0.0)),
+    "dicke": (_dicke_axis, lambda args, k: states.dicke_state(args.n, int(k))),
+}
 
 
 def _check_sweep_rows(rows: int) -> None:
     """ResourceError, before anything is computed, if the CSV of rows sweep points could exceed MAX_MATRIX_BYTES."""
     # six %.17g numbers, the longest family, six commas, a newline
-    _check_bytes(rows * (6 * 24 + len("threequbit") + 7), f"a sweep of {rows} points needs up to")
+    _check_bytes(rows * (6 * 24 + max(map(len, _FAMILIES)) + 7), f"a sweep of {rows} points needs up to")
 
 
-def _sweep_rows(args):
-    if args.family == "rec4":
-        rows, cols = _parse_grid(args.grid)
-        _check_sweep_rows(rows * cols)
-        for th in np.linspace(0.0, math.pi / 2.0, rows):
-            for ph in np.linspace(0.0, math.pi, cols):
-                yield th, ph, states.rec_family_state(th, ph)
-    elif args.family in ("twoqubit", "threequbit"):
-        count, _ = _parse_grid(args.grid, line=True)
-        _check_sweep_rows(count)
-        for th in np.linspace(0.0, math.pi, count):
-            if args.family == "twoqubit":
-                qubits = [states.QubitState(0.0, 0.0), states.QubitState(th, 0.0)]
-            else:
-                qubits = [states.QubitState(0.0, 0.0), states.QubitState(th, math.pi), states.QubitState(th, 0.0)]
-            yield th, None, states.symmetrize(qubits)
-    else:  # dicke
-        if args.n is None:
-            raise DomainError("--family dicke requires --n")
-        if args.n < 1:
-            raise DomainError(f"--family dicke needs --n of at least 1, got {args.n}")
-        _check_sweep_rows(args.n + 1)
-        for k in range(args.n + 1):
-            yield float(k), None, states.dicke_state(args.n, k)
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     if args.family not in _FAMILIES:
         raise DomainError(f"unknown family {args.family!r}; choose from {', '.join(_FAMILIES)}")
-    param1, param2, eb, eg = [], [], [], []
-    for p1, p2, state in _sweep_rows(args):
-        param1.append(p1)
-        param2.append(p2)
+    grid_rule, build = _FAMILIES[args.family]
+    axes = grid_rule(args)
+    _check_sweep_rows(math.prod(count for _, count in axes))
+    grids = np.meshgrid(*(np.linspace(0.0, stop, count) for stop, count in axes), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)  # one row per point, the last parameter fastest
+    eb, eg = [], []
+    for point in points:
+        state = build(args, *point)
         eb.append(measures.e_b(state))
         if args.eg:
             r = measures.e_g(state, grid=args.husimi_grid)
             eg.append((r.value, r.witness.theta, r.witness.phi))
-    blank = [""] * len(param1)
-    columns = [[args.family] * len(param1), np.array(param1), np.array(param2) if args.family == "rec4" else blank]
+    blank = [""] * len(points)
+    columns = [[args.family] * len(points), points[:, 0], points[:, 1] if len(axes) == 2 else blank]
     columns += [np.array(eb), *(np.array(eg).T if args.eg else [blank] * 3)]
-    _emit(args, states._csv("family,param1,param2,E_B,E_G,EG_witness_theta,EG_witness_phi", columns))
-    return 0
+    return states._csv("family,param1,param2,E_B,E_G,EG_witness_theta,EG_witness_phi", columns)
 
 
 def _resolve_seed(args) -> int:
@@ -268,7 +257,7 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> str:
     seed = _resolve_seed(args)
     rng = composition.make_rng(seed)
     if args.antipodal:
@@ -276,47 +265,39 @@ def _cmd_random(args) -> int:
     else:
         state = composition.random_state(args.n, rng)
     doc = states.state_to_json(state)
-    _emit(args, doc[:-1] + f', "seed": {seed}}}' + "\n")
-    return 0
+    return doc[:-1] + f', "seed": {seed}}}' + "\n"
 
 
 def _hamiltonian_from_args(args) -> hamiltonians.HermitianOperator:
     src = args.hamiltonian
-    # a JSON file with a "hamiltonian" field carries the same grammar
+    # a JSON file with a "hamiltonian" field carries the same grammar; parsed as it is read, a field that is no
+    # string (parse's TypeError) is refused like a missing one
     if src.endswith(".json") or os.path.exists(src):
         import json
 
-        try:
-            with open(src, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            src = doc["hamiltonian"]
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            raise DomainError(
-                f"cannot read a 'hamiltonian' field from {args.hamiltonian!r}: {exc}"
-            ) from exc
-    expr = hamiltonians.parse(src)
+        expr = _read_file(src, "a 'hamiltonian' field from",
+                          lambda text: hamiltonians.parse(json.loads(text)["hamiltonian"]))
+    else:
+        expr = hamiltonians.parse(src)
     return hamiltonians.build_matrix(expr)
 
 
-def _cmd_evolve(args) -> int:
-    """evolve writes the star trajectory, velocity its velocity profile."""
+def _cmd_evolve(args) -> str:
+    """evolve returns the star trajectory, velocity its velocity profile."""
     h = _hamiltonian_from_args(args)
     psi0 = _state_from_args(args)
     traj = dynamics.evolve(h, psi0, _parse_betas(args.betas, h.n), max_step=args.max_step)
     if args.command == "velocity":
         profile = dynamics.velocity_profile(traj, divergence_threshold=args.divergence_threshold)
-        _emit(args, dynamics.velocity_to_csv(profile))
-    else:
-        _emit(args, dynamics.trajectory_to_csv(traj))
-    return 0
+        return dynamics.velocity_to_csv(profile)
+    return dynamics.trajectory_to_csv(traj)
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> str:
     h = _hamiltonian_from_args(args)
     u = dynamics.exponentiate(h, parse_angle(args.beta))
     block = dynamics.reduce_unitary(u, tol=args.tol)
-    _emit(args, dynamics.block_to_json(block) + "\n")
-    return 0
+    return dynamics.block_to_json(block) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,45 +307,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stars", help="Majorana constellation of a state")
-    _add_state_flags(p)
-    _add_out(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
-    p.set_defaults(func=_cmd_stars)
+    def add(name: str, func, helptext: str) -> argparse.ArgumentParser:
+        """A subcommand whose func(args) returns its output, which main writes to --out or stdout."""
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("--out", help="write the result here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("measure", help="barycentric and geometric entanglement of a state")
+    p = add("stars", _cmd_stars, "Majorana constellation of a state")
     _add_state_flags(p)
-    _add_out(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format (default json)")
+
+    p = add("measure", _cmd_measure, "barycentric and geometric entanglement of a state")
+    _add_state_flags(p)
     p.add_argument("--eb", action="store_true", help="report the barycentric measure (default when --eg absent)")
     p.add_argument("--eg", action="store_true", help="report the geometric measure")
     _add_husimi_grid(p)
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format (default text)")
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("compose", help="compose two or more states (star-multiset union)")
+    p = add("compose", _cmd_compose, "compose two or more states (star-multiset union)")
     p.add_argument("--state", action="append", default=[], help="state spec; give at least twice")
-    _add_out(p)
-    p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("sweep", help="measure a parametric family onto CSV")
-    p.add_argument("--family", required=True, help="one of: rec4, twoqubit, threequbit, dicke")
+    p = add("sweep", _cmd_sweep, "measure a parametric family onto CSV")
+    p.add_argument("--family", required=True, help=f"one of: {', '.join(_FAMILIES)}")
     p.add_argument("--grid", default="33x33", help="parameter grid, RxC for rec4, N for line families (default 33x33)")
     p.add_argument("--n", type=int, help="qubit count for --family dicke")
     p.add_argument("--eb", action="store_true", help="accepted for symmetry; E_B is always computed")
     p.add_argument("--eg", action="store_true", help="also compute the geometric measure per point")
     _add_husimi_grid(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("random", help="random symmetric state (uniform stars)")
+    p = add("random", _cmd_random, "random symmetric state (uniform stars)")
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--antipodal", action="store_true", help="compose random antipodal pairs (even n)")
     p.add_argument("--seed", type=int, help="64-bit seed; falls back to STELLAR_SEED, then OS entropy")
-    _add_out(p)
-    p.set_defaults(func=_cmd_random)
 
     for name, helptext in (("evolve", "star trajectory under exp(-i*beta*H)"), ("velocity", "star velocity profile dtheta/dbeta")):
-        p = sub.add_parser(name, help=helptext)
+        p = add(name, _cmd_evolve, helptext)
         p.add_argument("--hamiltonian", required=True, help="Hamiltonian expression, e.g. '1/sqrt(2)*H(2,3) + 1/sqrt(2)*H(0,2)'")
         _add_state_flags(p)
         p.add_argument("--betas", required=True, metavar="START:STOP:COUNT", help="evolution parameter grid")
@@ -381,15 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=10.0,
                 help="flag |dtheta/dbeta| above this as a divergence window (default 10)",
             )
-        _add_out(p)
-        p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("reduce", help="block-diagonalize exp(-i*beta*H) in the Dicke basis")
+    p = add("reduce", _cmd_reduce, "block-diagonalize exp(-i*beta*H) in the Dicke basis")
     p.add_argument("--hamiltonian", required=True, help="Hamiltonian expression")
     p.add_argument("--beta", required=True, help="evolution parameter (angle forms allowed)")
     p.add_argument("--tol", type=float, default=1e-10, help="off-block norm tolerance (default 1e-10)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_reduce)
 
     return parser
 
@@ -398,16 +372,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except ExpressionError as exc:
+        text = args.func(args)  # every subcommand's result, written only once it is complete
+    except StellarError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StellarError as exc:  # numeric and symmetry errors, and any other
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def console_main() -> None:

@@ -105,7 +105,7 @@ class HamiltonianExpr:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/(),])|(?P<bad>.)",
+    r"(?P<ws>\s+)|(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[-+*/(),])|(?P<bad>.)",
     re.DOTALL,
 )
 
@@ -144,15 +144,20 @@ class _Parser:
         self.pos += 1
         return True
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise self.error(ExpressionSyntaxError, f"expected {text!r}", self.peek())
+
+    def take(self, kind: str, what: str) -> _Token:
+        """Consume the next token if it is of ``kind``; else the error names ``what`` may come here."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self.error(ExpressionSyntaxError, f"expected {text or kind!r}", tok)
+        if tok.kind != kind:
+            raise self.error(ExpressionSyntaxError, f"expected {what}", tok)
         self.pos += 1
         return tok
 
     def number(self) -> tuple[float, _Token]:
-        tok = self.expect("number")
+        tok = self.take("number", "a number")
         value = float(tok.text)
         if not math.isfinite(value):
             raise self.error(ExpressionSemanticError, "coefficient is not finite", tok)
@@ -162,9 +167,9 @@ class _Parser:
     def operand(self) -> tuple[float, _Token]:
         if not self.accept("sqrt"):
             return self.number()
-        self.expect("sym", "(")
+        self.expect("(")
         value, num = self.number()
-        self.expect("sym", ")")
+        self.expect(")")
         return math.sqrt(value), num
 
     # coeff := operand | decimal '/' operand
@@ -181,26 +186,26 @@ class _Parser:
                 raise self.error(ExpressionSemanticError, "coefficient is not finite", tok)
         return value
 
-    def factor(self) -> str:
-        tok = self.expect("name")
+    def factor(self, what: str = "a factor") -> str:
+        tok = self.take("name", what)
         if tok.text not in FACTORS:
             raise self.error(ExpressionSyntaxError, "unknown factor", tok)
         return tok.text
 
     def body(self, coeff: float) -> Term:
         if self.accept("sym"):
-            self.expect("sym", "(")
+            self.expect("(")
             factors = [self.factor()]
             while self.peek().kind == "name":
                 factors.append(self.factor())
-            self.expect("sym", ")")
+            self.expect(")")
             return SymTerm(coeff, tuple(factors))
         if self.accept("H"):
-            self.expect("sym", "(")
-            i_tok = self.expect("number")
-            self.expect("sym", ",")
-            j_tok = self.expect("number")
-            self.expect("sym", ")")
+            self.expect("(")
+            i_tok = self.take("number", "a number")
+            self.expect(",")
+            j_tok = self.take("number", "a number")
+            self.expect(")")
             try:
                 i, j = int(i_tok.text), int(j_tok.text)
             except ValueError:
@@ -208,7 +213,7 @@ class _Parser:
             if not (0 <= i <= 3 and 0 <= j <= 3):
                 raise self.error(ExpressionSemanticError, "pair indices must lie in 0..3", i_tok, f"{i},{j}")
             return PairTerm(coeff, i, j)
-        factors = [self.factor()]
+        factors = [self.factor("a factor, 'sym(' or 'H('")]
         while self.accept("x"):
             factors.append(self.factor())
         return TensorTerm(coeff, tuple(factors))
@@ -218,7 +223,7 @@ class _Parser:
         # a leading number or sqrt means an explicit coefficient follows
         if tok.kind == "number" or tok.text == "sqrt":
             sign *= self.coefficient()
-            self.expect("sym", "*")
+            self.expect("*")
         return self.body(sign)
 
     # [sign]: -1.0 for a '-' it consumes, else 1.0
@@ -232,10 +237,9 @@ class _Parser:
         sign = self.sign()
         terms = [(self.peek(), self.term(sign))]
         while self.peek().kind != "end":
-            op = self.expect("sym")
-            if op.text not in "+-":
-                raise self.error(ExpressionSyntaxError, "expected '+' or '-'", op)
-            sign = (-1.0 if op.text == "-" else 1.0) * self.sign()
+            if self.peek().text not in ("+", "-"):
+                raise self.error(ExpressionSyntaxError, "expected '+' or '-'", self.peek())
+            sign = self.sign() * self.sign()  # the separator, then the term's own sign if any
             terms.append((self.peek(), self.term(sign)))
         arity = terms[0][1].arity
         for start, t in terms[1:]:

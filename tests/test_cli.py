@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,27 @@ class TestExitCodes:
             ["evolve", "--hamiltonian", "X x I", "--state", "00", "--betas", "0:1:5"],
         )
         assert code == 4 and "symmetr" in err.lower()
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (st.ExpressionSyntaxError("bad", 1, 2, "t"), 2),
+            (st.ExpressionSemanticError("bad", 1, 2, "t"), 2),
+            (st.DomainError("bad"), 3),
+            (st.ResourceError("bad"), 3),
+            (st.NumericError("bad"), 4),
+            (st.ConvergenceError("bad", None), 4),
+            (st.SymmetryViolationError("bad", 0.5), 4),
+            (st.StellarError("bad"), 4),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr("stellar.cli._cmd_stars", fail)
+        assert run_cli(capsys, ["stars", "--state", "01"]) == (code, "", f"error: {error}\n")
 
 
 class TestMalformedInput:
@@ -438,6 +460,13 @@ class TestOutputs:
         code, _, err = run_cli(capsys, ["reduce", "--hamiltonian", str(path), "--beta", "0.7"])
         assert code == 3 and "hamiltonian" in err
 
+    @pytest.mark.parametrize("field", ["5", "null", '["X x X"]', '{"expr": "X x X"}'])
+    def test_hamiltonian_json_field_not_a_string(self, capsys, tmp_path, field):
+        path = tmp_path / "h.json"
+        path.write_text('{"hamiltonian": %s}' % field)
+        code, out, err = run_cli(capsys, ["reduce", "--hamiltonian", str(path), "--beta", "0.7"])
+        assert (code, out) == (3, "") and err.startswith("error: cannot read a 'hamiltonian' field from")
+
     def test_compose_bell(self, capsys):
         _, out, _ = run_cli(capsys, ["compose", "--state", "1", "--state", "0"])
         state = st.state_from_json(out)
@@ -445,6 +474,29 @@ class TestOutputs:
 
 
 class TestHelp:
+    OPTIONS = {
+        "stars": {"--help", "--out", "--format", "--state", "--dicke", "--ghz", "--w", "--bell", "--tetra", "--rec4",
+                  "--coherent"},
+        "measure": {"--help", "--out", "--format", "--eb", "--eg", "--husimi-grid", "--state", "--dicke", "--ghz", "--w",
+                    "--bell", "--tetra", "--rec4", "--coherent"},
+        "compose": {"--help", "--out", "--state"},
+        "sweep": {"--help", "--out", "--family", "--grid", "--n", "--eb", "--eg", "--husimi-grid"},
+        "random": {"--help", "--out", "--n", "--antipodal", "--seed"},
+        "evolve": {"--help", "--out", "--hamiltonian", "--betas", "--max-step", "--state", "--dicke", "--ghz", "--w",
+                   "--bell", "--tetra", "--rec4", "--coherent"},
+        "velocity": {"--help", "--out", "--hamiltonian", "--betas", "--max-step", "--divergence-threshold", "--state",
+                     "--dicke", "--ghz", "--w", "--bell", "--tetra", "--rec4", "--coherent"},
+        "reduce": {"--help", "--out", "--hamiltonian", "--beta", "--tol"},
+    }
+
+    @pytest.mark.parametrize("sub", sorted(OPTIONS))
+    def test_help_lists_exactly_these_options(self, capsys, sub):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == self.OPTIONS[sub]
+
     @pytest.mark.parametrize("sub", ["measure", "sweep", "evolve", "reduce"])
     def test_help_lists_defaults(self, sub):
         with pytest.raises(SystemExit) as exc:

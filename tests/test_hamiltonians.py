@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ X, Y, Z, I2 = FACTORS["X"], FACTORS["Y"], FACTORS["Z"], FACTORS["I"]
 
 # grammar tokens, whitespace with newlines and tabs, and characters the grammar has no place for
 _SOURCE_PIECES = ["sym(", "H(", "sqrt(", "(", ")", ",", "+", "-", "*", "/", "x", "X", "Y", "Z", "I", "P0", "Q",
-                  "0", "3", "4", "0.5", "1e999", "2e-400", " ", "\n", "\t", "\r\n", "@", "#", "é"]
+                  "0", "3", "4", "0.5", "1e999", "2e-400", " ", "\n", "\t", "\r\n", "@", "#", "é", "٣"]
 
 
 class TestParse:
@@ -69,9 +70,12 @@ class TestParse:
             pytest.param("0.5*X x X\n\t+ Y @ Y", "unrecognized character", 2, 6, "@", id="character-on-line-2"),
             pytest.param("H(1.5,2)", "pair indices must be integers", 1, 3, "1.5", id="pair-index"),
             pytest.param("X x X +\n\tH(1.5,2)", "pair indices must be integers", 2, 4, "1.5", id="pair-index-on-line-2"),
-            pytest.param("X Y", "expected 'sym'", 1, 3, "Y", id="no-separator"),
+            pytest.param("X Y", "expected '+' or '-'", 1, 3, "Y", id="no-separator"),
             pytest.param("X x X\n\t) Y", "expected '+' or '-'", 2, 2, ")", id="wrong-separator"),
-            pytest.param("X x X +\n0.5*", "expected 'name'", 2, 5, "", id="end-of-input"),
+            pytest.param("X x X +\n0.5*", "expected a factor, 'sym(' or 'H('", 2, 5, "", id="end-of-input"),
+            # digits are ASCII: an Arabic-Indic three is no number
+            pytest.param("٣*X", "unrecognized character", 1, 1, "٣", id="non-ascii-coefficient"),
+            pytest.param("H(٣,١)", "unrecognized character", 1, 3, "٣", id="non-ascii-pair-index"),
         ],
     )
     def test_unknown_factor_reports_location(self, src, message, line, column, token):
@@ -131,6 +135,7 @@ class TestParse:
             else:
                 assert src.startswith(err.token, offset)
             assert err.token != "" or offset == len(src)  # only the end of the input has an empty token
+            assert not re.search(r"expected '(number|name|sym|end)'", str(err))  # messages name no token kind
 
     def test_whitespace_insensitive(self):
         a = st.build_matrix(parse("1/sqrt(2)*H(2,3)+1/sqrt(2)*H(0,3)")).matrix
