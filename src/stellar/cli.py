@@ -24,7 +24,20 @@ from .errors import DomainError, ExpressionError, ResourceError, StellarError, _
 _EXIT_CODES = ((ExpressionError, 2), ((DomainError, ResourceError), 3), (StellarError, 4))
 
 # the coefficient needs a digit once it has a point, so '.pi' is no angle
-_PI_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
+_PI_RE = re.compile(r"^([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)?)\s*\*?\s*pi(?:\s*/\s*([0-9]+\.?[0-9]*))?$", re.IGNORECASE)
+
+
+def _ascii(kind):
+    """kind, int or float, reading ASCII text only: the builtins also read the digits of other scripts."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(f"{text!r} is not written in ASCII")
+        return kind(text)
+    read.__name__ = kind.__name__  # the name argparse prints in a usage error
+    return read
+
+
+_int, _float = _ascii(int), _ascii(float)
 
 
 def parse_angle(text: str) -> float:
@@ -38,23 +51,23 @@ def parse_angle(text: str) -> float:
             raise DomainError(f"zero divisor in angle {text!r}")
         return float(coef) * math.pi / div
     try:
-        return float(text)
+        return _float(text)
     except ValueError:
         raise DomainError(f"cannot parse angle {text!r}") from None
 
 
 # name: (builder of the spec's ':' parts, options of its flag); a spec takes as many parts as the flag takes values
 _NAMED_STATES = {
-    "dicke": (lambda n, k: states.dicke_state(int(n), int(k)),
-              dict(nargs=2, type=int, metavar=("N", "K"), help="Dicke state")),
-    "ghz": (lambda n: states.ghz_state(int(n)), dict(type=int, metavar="N", help="GHZ state of N qubits")),
-    "w": (lambda n: states.dicke_state(int(n), 1),
-          dict(type=int, metavar="N", help="one-excitation Dicke state of N qubits")),
+    "dicke": (lambda n, k: states.dicke_state(_int(n), _int(k)),
+              dict(nargs=2, type=_int, metavar=("N", "K"), help="Dicke state")),
+    "ghz": (lambda n: states.ghz_state(_int(n)), dict(type=_int, metavar="N", help="GHZ state of N qubits")),
+    "w": (lambda n: states.dicke_state(_int(n), 1),
+          dict(type=_int, metavar="N", help="one-excitation Dicke state of N qubits")),
     "bell": (states.bell_state, dict(metavar="NAME", help="Bell state: psi+, phi+ or phi-")),
     "tetra": (states.tetrahedron_state, dict(action="store_true", help="4-qubit tetrahedron state")),
     "rec4": (lambda th, ph: states.rec_family_state(parse_angle(th), parse_angle(ph)),
              dict(nargs=2, metavar=("THETA", "PHI"), help="rectangle family state (angles allow 'pi' forms)")),
-    "coherent": (lambda n, th, ph: states.coherent_state(int(n), states.QubitState(parse_angle(th), parse_angle(ph))),
+    "coherent": (lambda n, th, ph: states.coherent_state(_int(n), states.QubitState(parse_angle(th), parse_angle(ph))),
                  dict(nargs=3, metavar=("N", "THETA", "PHI"), help="spin-coherent state")),
 }
 
@@ -79,17 +92,17 @@ def build_state(spec: str) -> states.SymmetricState:
         qubits = [states.QubitState(0.0 if ch == "0" else math.pi, 0.0) for ch in spec]
         return states.symmetrize(qubits)
     if os.path.exists(spec) or spec.endswith(".json"):
-        return _read_file(spec, "state file", states.state_from_json)
+        return _use_file(spec, "r", "read state file", lambda fh: states.state_from_json(fh.read()))
     raise DomainError(f"unrecognized state spec {spec!r}")
 
 
-def _read_file(path: str, what: str, read):
-    """read(text) of the file at path; a file that cannot be opened, decoded or read is a DomainError naming what."""
+def _use_file(path: str, mode: str, what: str, use):
+    """use(fh) of the file at path opened in mode; failing to open, decode, read or write it is a DomainError naming what."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return read(fh.read())
+        with open(path, mode, encoding="utf-8") as fh:
+            return use(fh)
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise DomainError(f"cannot read {what} {path!r}: {exc}") from exc
+        raise DomainError(f"cannot {what} {path!r}: {exc}") from exc
 
 
 def _state_from_args(args) -> states.SymmetricState:
@@ -123,7 +136,7 @@ def _add_husimi_grid(parser: argparse.ArgumentParser):
 
 def _parse_grid(text: str, line: bool = False) -> tuple[int, int]:
     """'RxC' with both sizes at least 2; a line family reads only R and also takes a bare 'N'."""
-    m = re.fullmatch(r"(\d+)(?:x(\d+))?", text.strip())
+    m = re.fullmatch(r"([0-9]+)(?:x([0-9]+))?", text.strip())
     if not m or (m.group(2) is None and not line):
         raise DomainError(f"grid must look like '64x128', got {text!r}")
     g = (int(m.group(1)), int(m.group(2) or 0))
@@ -140,7 +153,7 @@ def _parse_betas(text: str, n: int) -> np.ndarray:
     if len(parts) != 3:
         raise DomainError(f"betas must look like 'start:stop:count', got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _float(parts[0]), _float(parts[1]), _int(parts[2])
     except ValueError as exc:
         raise DomainError(f"bad betas {text!r}: {exc}") from exc
     if count < 2:
@@ -249,7 +262,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("STELLAR_SEED")
     if env is not None:
         try:
-            return int(env)
+            return _int(env)
         except ValueError:
             raise DomainError(f"STELLAR_SEED must be an integer, got {env!r}") from None
     seed = secrets.randbits(63)
@@ -275,8 +288,8 @@ def _hamiltonian_from_args(args) -> hamiltonians.HermitianOperator:
     if src.endswith(".json") or os.path.exists(src):
         import json
 
-        expr = _read_file(src, "a 'hamiltonian' field from",
-                          lambda text: hamiltonians.parse(json.loads(text)["hamiltonian"]))
+        expr = _use_file(src, "r", "read a 'hamiltonian' field from",
+                         lambda fh: hamiltonians.parse(json.load(fh)["hamiltonian"]))
     else:
         expr = hamiltonians.parse(src)
     return hamiltonians.build_matrix(expr)
@@ -331,15 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "measure a parametric family onto CSV")
     p.add_argument("--family", required=True, help=f"one of: {', '.join(_FAMILIES)}")
     p.add_argument("--grid", default="33x33", help="parameter grid, RxC for rec4, N for line families (default 33x33)")
-    p.add_argument("--n", type=int, help="qubit count for --family dicke")
+    p.add_argument("--n", type=_int, help="qubit count for --family dicke")
     p.add_argument("--eb", action="store_true", help="accepted for symmetry; E_B is always computed")
     p.add_argument("--eg", action="store_true", help="also compute the geometric measure per point")
     _add_husimi_grid(p)
 
     p = add("random", _cmd_random, "random symmetric state (uniform stars)")
-    p.add_argument("--n", type=int, required=True, help="qubit count")
+    p.add_argument("--n", type=_int, required=True, help="qubit count")
     p.add_argument("--antipodal", action="store_true", help="compose random antipodal pairs (even n)")
-    p.add_argument("--seed", type=int, help="64-bit seed; falls back to STELLAR_SEED, then OS entropy")
+    p.add_argument("--seed", type=_int, help="64-bit seed; falls back to STELLAR_SEED, then OS entropy")
 
     for name, helptext in (("evolve", "star trajectory under exp(-i*beta*H)"), ("velocity", "star velocity profile dtheta/dbeta")):
         p = add(name, _cmd_evolve, helptext)
@@ -348,14 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--betas", required=True, metavar="START:STOP:COUNT", help="evolution parameter grid")
         p.add_argument(
             "--max-step",
-            type=float,
+            type=_float,
             default=dynamics.MAX_STEP_RAD,
             help="matched-star move bound per accepted step in rad (default 0.2)",
         )
         if name == "velocity":
             p.add_argument(
                 "--divergence-threshold",
-                type=float,
+                type=_float,
                 default=10.0,
                 help="flag |dtheta/dbeta| above this as a divergence window (default 10)",
             )
@@ -363,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("reduce", _cmd_reduce, "block-diagonalize exp(-i*beta*H) in the Dicke basis")
     p.add_argument("--hamiltonian", required=True, help="Hamiltonian expression")
     p.add_argument("--beta", required=True, help="evolution parameter (angle forms allowed)")
-    p.add_argument("--tol", type=float, default=1e-10, help="off-block norm tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_float, default=1e-10, help="off-block norm tolerance (default 1e-10)")
 
     return parser
 
@@ -373,14 +386,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         text = args.func(args)  # every subcommand's result, written only once it is complete
+        if args.out:
+            _use_file(args.out, "w", "write", lambda fh: fh.write(text))
+        else:
+            sys.stdout.write(text)
     except StellarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -15,6 +15,9 @@ Hessian all contract rows with T, A T and A A T.
 ``e_g(state, grid)`` sweeps the theta x phi grid as one matmul
 (T(thetas) * gbar) @ e^(i k phis), then runs a damped-Newton ascent from
 the best grid cells; it needs the Husimi function alone, not the stars.
+The ascent keeps one state per start: a column of the rows theta, phi, Q,
+the two gradient parts, the three Hessian parts and the gradient norm that
+one evaluation returns, all replaced by one masked select per step.
 """
 
 from __future__ import annotations
@@ -98,11 +101,10 @@ def _powers(theta, n: int) -> np.ndarray:
     """T[i, k] = cos^(n-k)(theta_i/2) * sin^k(theta_i/2), by running products."""
     u = 0.5 * np.asarray(theta, dtype=float).ravel()
     m = u.shape[0]
-    cp = np.ones((m, n + 1))
-    sp = np.ones((m, n + 1))
-    np.multiply.accumulate(np.broadcast_to(np.cos(u)[:, None], (m, n)), axis=1, out=cp[:, 1:])
-    np.multiply.accumulate(np.broadcast_to(np.sin(u)[:, None], (m, n)), axis=1, out=sp[:, 1:])
-    return cp[:, ::-1] * sp
+    base = np.stack([np.cos(u), np.sin(u)])[..., None]
+    cs = np.ones((2, m, n + 1))
+    np.multiply.accumulate(np.broadcast_to(base, (2, m, n)), axis=2, out=cs[..., 1:])
+    return cs[0, :, ::-1] * cs[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,22 +185,17 @@ def _top_k(q: np.ndarray, k: int) -> np.ndarray:
 
 def husimi(state: SymmetricState, point: QubitState) -> float:
     """Squared overlap with the coherent state at ``point``; lies in [0, 1]."""
-    q, _, _ = _husimi_eval(_husimi_weights(state), state.n, point.theta, point.phi, 0)
-    return float(min(q[0], 1.0))
+    return float(min(husimi_batch(state, point.theta, point.phi)[0], 1.0))
 
 
 def husimi_batch(state: SymmetricState, theta, phi) -> np.ndarray:
     """Husimi values at arrays of sphere points."""
-    gbar = _husimi_weights(state)
-    q, _, _ = _husimi_eval(gbar, state.n, np.atleast_1d(theta), np.atleast_1d(phi), 0)
-    return q
+    return _husimi_eval(_husimi_weights(state), state.n, theta, phi, 0)[0]
 
 
 def husimi_gradient(state: SymmetricState, theta, phi) -> np.ndarray:
     """Analytic (d/dtheta, d/dphi) of the Husimi function, batched."""
-    gbar = _husimi_weights(state)
-    _, g, _ = _husimi_eval(gbar, state.n, np.atleast_1d(theta), np.atleast_1d(phi), 1)
-    return g
+    return _husimi_eval(_husimi_weights(state), state.n, theta, phi, 1)[1]
 
 
 def _wrap_chart(th: np.ndarray, ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,19 +219,22 @@ def _ascend(gbar, n, theta, phi, gtol):
     the evaluation floor (accept if the gradient is already small) or in
     an untrustworthy basin (drop it; the other starts cover it).
     """
-    th = np.array(theta, dtype=float)
-    ph = np.array(phi, dtype=float)
-    m = th.shape[0]
+    def evaluate(th, ph):
+        q, g, hess = _husimi_eval(gbar, n, th, ph, 2)
+        return np.array([th, ph, q, g[:, 0], g[:, 1], *hess, np.abs(g).max(axis=1)])
 
-    q, g, hess = _husimi_eval(gbar, n, th, ph, 2)
-    htt, htp, hpp = hess
-    gnorm = np.abs(g).max(axis=1)
-    converged = gnorm <= gtol
-    dead = np.zeros(m, dtype=bool)
-    damping = np.ones(m)
-    for _ in range(_MAX_ITER):
-        active = ~converged & ~dead
-        if not active.any():
+    state = evaluate(theta, phi)
+    active = np.ones(len(theta), dtype=bool)
+    converged = np.zeros_like(active)
+    damping = np.ones(len(theta))
+    # each pass first judges the current state, then steps the starts still active
+    for step in range(_MAX_ITER + 1):
+        th, ph, q, g_t, g_p, htt, htp, hpp, gnorm = state
+        converged |= active & (gnorm <= gtol)
+        exhausted = active & ~converged & (damping < 1e-6)
+        converged |= exhausted & (gnorm <= 1e2 * gtol)
+        active &= ~converged & ~exhausted  # an exhausted start either converged or is dropped
+        if step == _MAX_ITER or not active.any():
             break
 
         # eigenvalues of the symmetric 2x2 Hessian, clamped so -H is SPD
@@ -247,8 +247,8 @@ def _ascend(gbar, n, theta, phi, gtol):
         # eigenvectors of the 2x2: rotate by angle alpha
         alpha = 0.5 * np.arctan2(2.0 * -htp, -(htt - hpp))
         ca, sa = np.cos(alpha), np.sin(alpha)
-        g1 = ca * g[:, 0] + sa * g[:, 1]
-        g2 = -sa * g[:, 0] + ca * g[:, 1]
+        g1 = ca * g_t + sa * g_p
+        g2 = -sa * g_t + ca * g_p
         s1, s2 = g1 / lam1, g2 / lam2
         step_t = ca * s1 - sa * s2
         step_p = sa * s1 + ca * s2
@@ -256,25 +256,11 @@ def _ascend(gbar, n, theta, phi, gtol):
         cap = np.where(norm > 1.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 1.0)
         scale = damping * cap
 
-        trial_th, trial_ph = _wrap_chart(th + scale * step_t, ph + scale * step_p)
-        q2, g2v, hess2 = _husimi_eval(gbar, n, trial_th, trial_ph, 2)
-        gnorm2 = np.abs(g2v).max(axis=1)
-        accept = active & ((gnorm2 <= gnorm) | (q2 > q))
-
-        th = np.where(accept, trial_th, th)
-        ph = np.where(accept, trial_ph, ph)
-        q = np.where(accept, q2, q)
-        g = np.where(accept[:, None], g2v, g)
-        htt = np.where(accept, hess2[0], htt)
-        htp = np.where(accept, hess2[1], htp)
-        hpp = np.where(accept, hess2[2], hpp)
-        gnorm = np.where(accept, gnorm2, gnorm)
+        trial = evaluate(*_wrap_chart(th + scale * step_t, ph + scale * step_p))
+        _, _, trial_q, *_, trial_gnorm = trial
+        accept = active & ((trial_gnorm <= gnorm) | (trial_q > q))
+        state = np.where(accept, trial, state)
         damping = np.where(accept, np.minimum(2.0 * damping, 1.0), 0.5 * damping)
-
-        converged |= active & (gnorm <= gtol)
-        exhausted = active & ~converged & (damping < 1e-6)
-        converged |= exhausted & (gnorm <= 1e2 * gtol)
-        dead |= exhausted & (gnorm > 1e2 * gtol)
     return th, ph, q, converged
 
 
@@ -334,8 +320,7 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
             if len(starts) == _GRID_STARTS:
                 break
 
-    th0 = np.array([start[0] for start in starts])
-    ph0 = np.array([start[1] for start in starts])
+    th0, ph0, _, _ = np.array(starts).T
     th, ph, q, ok = _ascend(gbar, n, th0, ph0, gtol)
 
     best = float(q.max())

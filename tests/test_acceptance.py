@@ -19,6 +19,9 @@ TETRA_THETA = math.acos(1 / SQ3)
 PAIR_FLOW = "1/sqrt(2)*H(2,3) + 1/sqrt(2)*H(0,2)"
 XY_HALF = "-0.5*X x Y + -0.5*Y x X"
 
+# an overflow or invalid value on the way to a criterion fails it, rather than leave a silently wrong number
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def report(num: int, text: str):
     print(f"ACCEPTANCE {num:2d}: PASS - {text}")

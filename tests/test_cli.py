@@ -151,6 +151,36 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, args)
         assert (code, out) == (3, "") and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "args,env,code",
+        [
+            pytest.param(["sweep", "--family", "twoqubit", "--grid", "٣"], {}, 3, id="grid"),
+            pytest.param(["sweep", "--family", "rec4", "--grid", "3x٣"], {}, 3, id="grid-columns"),
+            pytest.param(["reduce", "--hamiltonian", "X", "--beta", "٣pi/٤"], {}, 3, id="beta-pi"),
+            pytest.param(["reduce", "--hamiltonian", "X", "--beta", "١.٥"], {}, 3, id="beta-plain"),
+            pytest.param(["measure", "--dicke", "٣", "1"], {}, 2, id="dicke-flag"),
+            pytest.param(["stars", "--state", "dicke:٣:1"], {}, 3, id="dicke-spec"),
+            pytest.param(["stars", "--state", "coherent:3:٣:0"], {}, 3, id="coherent-spec-angle"),
+            pytest.param(["evolve", "--hamiltonian", "X", "--state", "0", "--betas", "0:1:٣"], {}, 3, id="betas"),
+            pytest.param(["evolve", "--hamiltonian", "X", "--state", "0", "--betas", "٠:1:3"], {}, 3, id="betas-start"),
+            pytest.param(["evolve", "--hamiltonian", "X", "--state", "0", "--betas", "0:1:3", "--max-step", "٠.١"], {},
+                         2, id="max-step"),
+            pytest.param(["random", "--n", "2", "--seed", "٣"], {}, 2, id="seed-flag"),
+            pytest.param(["random", "--n", "٣", "--seed", "1"], {}, 2, id="n-flag"),
+            pytest.param(["random", "--n", "2"], {"STELLAR_SEED": "٣"}, 3, id="seed-env"),
+            pytest.param(["measure", "--dicke", "3", "1", "--eg", "--husimi-grid", "٣x٣"], {}, 2, id="husimi-grid"),
+        ],
+    )
+    def test_numbers_are_ascii(self, capsys, monkeypatch, args, env, code):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            got = main(args)
+        except SystemExit as exc:  # argparse usage errors
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert (got, out) == (code, "") and "error:" in err
+
     def test_grid_missing_every_maximum_is_4(self, capsys):
         code, out, err = run_cli(capsys, ["measure", "--dicke", "3", "1", "--eg", "--husimi-grid", "2x2"])
         assert (code, out) == (4, "") and "below the mean" in err
@@ -414,6 +444,18 @@ class TestOutputs:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text())
         assert doc["n"] == 3 and len(doc["stars"]) == 3
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_3(self, capsys, tmp_path, where):
+        path = str(tmp_path / "missing" / "stars.json" if where == "missing-directory" else tmp_path)
+        code, out, err = run_cli(capsys, ["stars", "--state", "01", "--out", path])
+        assert (code, out) == (3, "") and err.startswith(f"error: cannot write {path!r}:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_command_writes_no_out(self, capsys, tmp_path):
+        path = tmp_path / "stars.json"
+        code, out, _ = run_cli(capsys, ["stars", "--dicke", "4", "9", "--out", str(path)])
+        assert (code, out) == (3, "") and not path.exists()
 
     def test_evolve_csv_header(self, capsys):
         _, out, _ = run_cli(

@@ -454,10 +454,69 @@ class TestSingleHusimiEvaluator:
         assert abs(st.husimi(state, r.witness) - r.overlap) <= 1e-12
 
 
-def reference_e_g(state, grid):
-    """``e_g`` with its ascent starts picked by a stable argsort of the whole
-    grid and a dedupe that recomputes the trig values of both points for
-    every candidate-start pair: the top-k selection must match it bit for bit."""
+def reference_ascend(gbar, n, theta, phi, gtol):
+    """The ascent as it was written with one array per part of a start's state,
+    each replaced by its own np.where: ``_ascend`` must match it bit for bit."""
+    th = np.array(theta, dtype=float)
+    ph = np.array(phi, dtype=float)
+    m = th.shape[0]
+
+    q, g, hess = _husimi_eval(gbar, n, th, ph, 2)
+    htt, htp, hpp = hess
+    gnorm = np.abs(g).max(axis=1)
+    converged = gnorm <= gtol
+    dead = np.zeros(m, dtype=bool)
+    damping = np.ones(m)
+    for _ in range(measures._MAX_ITER):
+        active = ~converged & ~dead
+        if not active.any():
+            break
+
+        # eigenvalues of the symmetric 2x2 Hessian, clamped so -H is SPD
+        mean = 0.5 * (htt + hpp)
+        rad = np.sqrt(np.maximum(0.25 * (htt - hpp) ** 2 + htp**2, 0.0))
+        lam1_raw, lam2_raw = -(mean - rad), -(mean + rad)  # eigenvalues of -H
+        floor = np.maximum(1e-8 * np.maximum(np.abs(lam1_raw), np.abs(lam2_raw)), 1e-12)
+        lam1 = np.maximum(lam1_raw, floor)
+        lam2 = np.maximum(lam2_raw, floor)
+        # eigenvectors of the 2x2: rotate by angle alpha
+        alpha = 0.5 * np.arctan2(2.0 * -htp, -(htt - hpp))
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        g1 = ca * g[:, 0] + sa * g[:, 1]
+        g2 = -sa * g[:, 0] + ca * g[:, 1]
+        s1, s2 = g1 / lam1, g2 / lam2
+        step_t = ca * s1 - sa * s2
+        step_p = sa * s1 + ca * s2
+        norm = np.hypot(step_t, step_p)
+        cap = np.where(norm > 1.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 1.0)
+        scale = damping * cap
+
+        trial_th, trial_ph = measures._wrap_chart(th + scale * step_t, ph + scale * step_p)
+        q2, g2v, hess2 = _husimi_eval(gbar, n, trial_th, trial_ph, 2)
+        gnorm2 = np.abs(g2v).max(axis=1)
+        accept = active & ((gnorm2 <= gnorm) | (q2 > q))
+
+        th = np.where(accept, trial_th, th)
+        ph = np.where(accept, trial_ph, ph)
+        q = np.where(accept, q2, q)
+        g = np.where(accept[:, None], g2v, g)
+        htt = np.where(accept, hess2[0], htt)
+        htp = np.where(accept, hess2[1], htp)
+        hpp = np.where(accept, hess2[2], hpp)
+        gnorm = np.where(accept, gnorm2, gnorm)
+        damping = np.where(accept, np.minimum(2.0 * damping, 1.0), 0.5 * damping)
+
+        converged |= active & (gnorm <= gtol)
+        exhausted = active & ~converged & (damping < 1e-6)
+        converged |= exhausted & (gnorm <= 1e2 * gtol)
+        dead |= exhausted & (gnorm > 1e2 * gtol)
+    return th, ph, q, converged
+
+
+def reference_starts(state, grid):
+    """``e_g``'s ascent starts, picked by a stable argsort of the whole grid and a
+    dedupe that recomputes the trig values of both points for every
+    candidate-start pair; returns gbar, gtol and the starts' theta and phi."""
     n_th, n_ph = grid
     gbar = _husimi_weights(state)
     n = state.n
@@ -478,12 +537,20 @@ def reference_e_g(state, grid):
                 break
         else:
             starts.append((float(th), float(ph)))
-    th, ph, q, ok = _ascend(gbar, n, np.array([s[0] for s in starts]), np.array([s[1] for s in starts]), gtol)
+    return gbar, gtol, np.array([s[0] for s in starts]), np.array([s[1] for s in starts])
+
+
+def reference_e_g(state, grid):
+    """``e_g`` from the reference starts and the reference ascent: the top-k
+    selection must match them bit for bit."""
+    gbar, gtol, th0, ph0 = reference_starts(state, grid)
+    n = state.n
+    th, ph, q, ok = reference_ascend(gbar, n, th0, ph0, gtol)
     best = float(q.max())
     g = math.gcd(*np.diff(np.flatnonzero(gbar)).tolist())
     ph = ph % (2.0 * math.pi / g) if g else np.zeros_like(ph)
     candidates = sorted(
-        ((st.QubitState(th[i], ph[i]), bool(ok[i])) for i in range(len(starts)) if q[i] >= best - 1e-11),
+        ((st.QubitState(th[i], ph[i]), bool(ok[i])) for i in range(len(th0)) if q[i] >= best - 1e-11),
         key=lambda c: (c[0].theta, c[0].phi),
     )
     overlap_val = min(max(best, 1e-300), 1.0)
@@ -535,6 +602,76 @@ class TestGridStarts:
             got, got_raises = _e_g_outcome(state, grid)
             want, want_raises = reference_e_g(state, grid)
             assert (_bits(got), got_raises) == (_bits(want), want_raises), (state.n, state.d)
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestAscentReference:
+    """``_ascend`` returns the reference ascent's theta, phi, Q and converged bits."""
+
+    @pytest.mark.parametrize("grid", [(64, 128), (9, 12), (33, 33)])
+    def test_on_e_g_starts(self, grid):
+        for state in _e_g_states():
+            gbar, gtol, th0, ph0 = reference_starts(state, grid)
+            got = _ascend(gbar, state.n, th0, ph0, gtol)
+            assert _same_bits(got, reference_ascend(gbar, state.n, th0, ph0, gtol)), (state.n, state.d)
+
+    @given(
+        hs.integers(1, 40),
+        hs.integers(0, 2**32 - 1),
+        hs.lists(
+            hs.tuples(hs.floats(0.0, math.pi), hs.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_on_random_starts_with_both_poles(self, n, seed, points):
+        gbar = _husimi_weights(haar_state(n, np.random.default_rng(seed)))
+        points = points + [(0.0, points[0][1]), (math.pi, points[0][1])]
+        th0, ph0 = (np.array(v) for v in zip(*points))
+        gtol = max(measures._GTOL, 4.0 * np.finfo(float).eps * n * n)
+        assert _same_bits(_ascend(gbar, n, th0, ph0, gtol), reference_ascend(gbar, n, th0, ph0, gtol))
+
+    @pytest.mark.parametrize("gtol", [0.0, 1e-19, 1e-18])
+    def test_damping_collapse_on_dicke_rings(self, gtol):
+        # below the round-off floor the damping of some starts collapses: at
+        # gtol 0 they are dropped, at 1e-19 and 1e-18 some converge at the floor
+        rng = np.random.default_rng(11)
+        for n in range(2, 16):
+            for k in range(1, n):
+                gbar = _husimi_weights(st.dicke_state(n, k))
+                th0 = np.concatenate([rng.uniform(0.0, math.pi, 6), [0.0, math.pi]])
+                ph0 = rng.uniform(0.0, 2.0 * math.pi, 8)
+                got = _ascend(gbar, n, th0, ph0, gtol)
+                assert _same_bits(got, reference_ascend(gbar, n, th0, ph0, gtol)), (n, k)
+
+
+class TestHusimiWrappers:
+    @given(hs.integers(1, 40), hs.integers(0, 2**32 - 1), hs.floats(0.0, math.pi), hs.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_husimi_is_clamped_batch_value(self, n, seed, theta, phi):
+        s = haar_state(n, np.random.default_rng(seed))
+        p = st.QubitState(theta, phi)
+        want = min(husimi_batch(s, p.theta, p.phi)[0], 1.0)
+        assert st.husimi(s, p).hex() == float(want).hex()
+
+    @pytest.mark.parametrize(
+        "theta,phi,size",
+        [
+            (0.7, 1.1, 1),
+            ([0.7], [1.1], 1),
+            ([0.1, 0.7, 2.0], [1.1, 0.3, 5.0], 3),
+            (np.full((2, 3), 0.7), np.linspace(0.0, 6.0, 6).reshape(2, 3), 6),
+            (0.7, np.array([0.3, 1.1]), 2),
+        ],
+    )
+    def test_shapes(self, theta, phi, size):
+        s = haar_state(5, np.random.default_rng(7))
+        assert husimi_batch(s, theta, phi).shape == (size,)
+        assert husimi_gradient(s, theta, phi).shape == (size, 2)
 
 
 class TestLargeN:
