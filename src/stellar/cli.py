@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import re
-import secrets
 import sys
 
 import numpy as np
@@ -23,8 +22,9 @@ from .errors import DomainError, ExpressionError, ResourceError, StellarError, _
 # the exit code of the first class an error is an instance of: usage, domain or size, numeric or symmetry and any other
 _EXIT_CODES = ((ExpressionError, 2), ((DomainError, ResourceError), 3), (StellarError, 4))
 
-# the coefficient needs a digit once it has a point, so '.pi' is no angle
-_PI_RE = re.compile(r"^([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)?)\s*\*?\s*pi(?:\s*/\s*([0-9]+\.?[0-9]*))?$", re.IGNORECASE)
+# the coefficient needs a digit once it has a point, so '.pi' is no angle; [pP][iI] and not re.IGNORECASE,
+# whose Unicode case folding also reads the dotless and the dotted i as i
+_PI_RE = re.compile(r"^([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)?)\s*\*?\s*[pP][iI](?:\s*/\s*([0-9]+\.?[0-9]*))?$")
 
 
 def _ascii(kind):
@@ -265,6 +265,7 @@ def _resolve_seed(args) -> int:
             return _int(env)
         except ValueError:
             raise DomainError(f"STELLAR_SEED must be an integer, got {env!r}") from None
+    import secrets  # here, not at the top: it loads OpenSSL, which only an unseeded run needs
     seed = secrets.randbits(63)
     print(f"drawn seed: {seed}", file=sys.stderr)
     return seed

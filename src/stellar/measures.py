@@ -77,7 +77,8 @@ def barycenter(c: Constellation) -> Barycenter:
 
 def _e_b(v: np.ndarray) -> np.ndarray:
     """1 - d**2 of the barycenter of each star set in v (..., n, 3)."""
-    return np.maximum(0.0, 1.0 - np.sum(v.mean(axis=-2) ** 2, axis=-1))
+    b = np.add.reduce(v, axis=-2) / v.shape[-2]  # v.mean(axis=-2), bit for bit, without its wrapper
+    return np.maximum(0.0, 1.0 - np.add.reduce(b**2, axis=-1))
 
 
 def e_b(obj: SymmetricState | Constellation) -> float:

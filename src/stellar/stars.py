@@ -70,12 +70,14 @@ def _angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(np.minimum(np.maximum(z, -1.0), 1.0)), np.where(phi == 2.0 * math.pi, 0.0, phi)
 
 
-def _pairs(v: np.ndarray) -> np.ndarray:
-    """Amplitudes (a, b) of the qubit a|0> + b|1> at each star; exact at the south pole."""
+def _pairs(v: np.ndarray) -> list[list[complex]]:
+    """Amplitudes [a, b] of the qubit a|0> + b|1> at each star of v (n, 3); exact at the south pole."""
     theta, phi = _angles(v)
-    pairs = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+    half = theta / 2.0
+    pairs = np.empty((len(v), 2), dtype=np.complex128)
+    pairs[:, 0], pairs[:, 1] = np.cos(half), np.exp(1j * phi) * np.sin(half)
     pairs[theta == math.pi] = (0.0, 1.0)
-    return pairs
+    return pairs.tolist()
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,8 @@ class Star:
         out = []
         for x, y, z in (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).tolist():
             star = object.__new__(cls)
-            object.__setattr__(star, "x", x)
-            object.__setattr__(star, "y", y)
-            object.__setattr__(star, "z", z)
+            fields = star.__dict__  # written directly: the frozen __setattr__ refuses them
+            fields["x"], fields["y"], fields["z"] = x, y, z
             out.append(star)
         return tuple(out)
 
@@ -145,12 +146,12 @@ class Constellation:
         object.__setattr__(self, "stars", stars)
 
     def as_array(self) -> np.ndarray:
-        return np.array([s.as_array() for s in self.stars])
+        return np.array([(s.x, s.y, s.z) for s in self.stars])
 
 
 def _geodesic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Great-circle distances between the unit vectors a (..., k, 3) and b (..., l, 3), shape (..., k, l)."""
-    return np.arccos(np.clip(a @ b.swapaxes(-1, -2), -1.0, 1.0))
+    return np.arccos((a @ b.swapaxes(-1, -2)).clip(-1.0, 1.0))
 
 
 def geodesic_distance(a: Star, b: Star) -> float:
@@ -186,9 +187,14 @@ def _pole_strip(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only the ratio tells a star on the pole from one near it.  The ``first``
     leading ones are stars at the south pole, the ``n - last`` trailing ones at the north.
     """
-    lead = np.logical_and.accumulate(mags[:, :-1] <= _STRIP_TOL * mags[:, 1:], axis=1).sum(axis=1)
-    trail = np.logical_and.accumulate(mags[:, :0:-1] <= _STRIP_TOL * mags[:, -2::-1], axis=1).sum(axis=1)
-    return lead, mags.shape[1] - 1 - trail
+    m, k = mags.shape
+    tol = _STRIP_TOL * mags
+    # strippable[0] from the front, [1] from the back; the False left in the last column ends every run
+    strippable = np.zeros((2, m, k), dtype=bool)
+    np.less_equal(mags[:, :-1], tol[:, 1:], out=strippable[0, :, :-1])
+    np.less_equal(mags[:, :0:-1], tol[:, -2::-1], out=strippable[1, :, :-1])
+    lead, trail = strippable.argmin(axis=2)
+    return lead, k - 1 - trail
 
 
 def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
@@ -217,7 +223,7 @@ def _chart(w) -> np.ndarray:
     """
     theta = 2.0 * np.arctan(np.abs(w))
     phi = np.arctan2(w.imag, w.real)
-    if np.isnan(phi).any():
+    if np.count_nonzero(np.isnan(phi)):
         raise DomainError(f"a root has no place on the sphere: {w}")
     s = np.sin(theta)
     # not renormalized: Star normalizes once, so a star rebuilt from its JSON angles is the same vector
@@ -253,11 +259,12 @@ def _tiles(p: np.ndarray, r: int) -> np.ndarray:
 def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row i's polynomial (coefficients in ``_tiles`` form) at the points x[i], in np.polyval's order.
 
-    Tiles of x's own shape make every step a same-shape operation.
+    Tiles of x's own shape make every step a same-shape operation, done in place.
     """
     y = np.zeros(x.shape, x.dtype)
     for c in tiles:
-        y = y * x + c
+        y *= x
+        y += c
     return y
 
 
@@ -270,29 +277,30 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.nda
     is a fixed point of the step, so every row takes the steps it would
     take alone.  Also returns the residual bounds at the returned roots,
     |A(x)| + 4 deg eps sum_k |a_k| |x|^(deg-k), from the last evaluation.
+    Runs under the caller's ``np.errstate(all="ignore")``.
     """
     m, deg = roots.shape
     pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
-    with np.errstate(all="ignore"):
-        for steps in range(31):
-            val, size = _horner(pt, roots), _horner(at, np.abs(roots))
-            done = np.abs(val) <= 64.0 * _EPS * size + 1e-300
-            if steps == 30 or done.all():
-                break
-            if dpt is None:
-                dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), deg)
-            dval = _horner(dpt, roots)
-            newton = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
-            diff = roots[:, :, None] - roots[:, None, :]
-            diff.reshape(m, -1)[:, :: deg + 1] = np.inf
-            repulsion = (1.0 / diff).sum(axis=2)
-            denom = 1.0 - newton * repulsion
-            step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0.0, denom, 1.0), newton)
-            ok = ~done & np.isfinite(step)
-            if not ok.any():
-                break
-            roots = np.where(ok, roots - step, roots)
-    return roots, np.abs(val) + 4.0 * deg * _EPS * size
+    for steps in range(31):
+        val, size = _horner(pt, roots), _horner(at, np.abs(roots))
+        residual = np.abs(val)
+        done = residual <= 64.0 * _EPS * size + 1e-300
+        if steps == 30 or np.count_nonzero(done) == done.size:
+            break
+        if dpt is None:
+            dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), deg)
+        dval = _horner(dpt, roots)
+        newton = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
+        diff = roots[:, :, None] - roots[:, None, :]
+        diff.reshape(m, -1)[:, :: deg + 1] = np.inf
+        repulsion = (1.0 / diff).sum(axis=2)
+        denom = 1.0 - newton * repulsion
+        step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0.0, denom, 1.0), newton)
+        ok = ~done & np.isfinite(step)
+        if not ok.any():
+            break
+        roots = np.where(ok, roots - step, roots)
+    return roots, residual + 4.0 * deg * _EPS * size
 
 
 def _polynomial_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,21 +317,22 @@ def _polynomial_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, deg = c.shape[0], c.shape[1] - 1
     if deg == 1:
         return -c[:, 1:] / c[:, :1], np.zeros((m, 1))
-    reverse = np.abs(c[:, -1]) > np.abs(c[:, 0])
+    ends = np.abs(c[:, ::deg])  # the first and the last coefficient
+    reverse = ends[:, 1] > ends[:, 0]
     work = np.where(reverse[:, None], c[:, ::-1], c)
     work /= np.abs(work).max(axis=1, keepdims=True)
     companion = np.zeros((m, deg, deg), dtype=np.complex128)
     companion[:, 0] = -work[:, 1:] / work[:, :1]
     companion.reshape(m, -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
-    roots, bound = _aberth_refine(work, np.linalg.eigvals(companion))
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
-    gaps.reshape(m, -1)[:, :: deg + 1] = 1.0
-    with np.errstate(all="ignore"):  # the product as a sum of logs; a coincident pair gives inf, NaN gives pi
+    with np.errstate(all="ignore"):
+        roots, bound = _aberth_refine(work, np.linalg.eigvals(companion))
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        gaps.reshape(m, -1)[:, :: deg + 1] = 1.0
+        # the product as a sum of logs; a coincident pair gives inf, NaN gives pi
         log_w = np.log(deg * bound / np.abs(work[:, :1])) - np.log(gaps).sum(axis=2)
         radii = np.fmin(2.0 * np.exp(log_w) / (1.0 + np.abs(roots) ** 2), math.pi)
-    if reverse.any():
-        flipped = roots[reverse]
-        roots[reverse] = 1.0 / np.where(np.abs(flipped) < 1e-300, 1e-300, flipped)
+        if np.count_nonzero(reverse):
+            roots = np.where(reverse[:, None], 1.0 / np.where(np.abs(roots) < 1e-300, 1e-300, roots), roots)
     return roots, radii
 
 
@@ -405,7 +414,8 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
 
     Each row's stars are sorted by (theta, phi) and include its pole
     multiplicities, exactly as that row alone would give them: rows of one
-    effective degree share one stacked root solve.  Two roots are near
+    effective degree share one stacked root solve, and a one-row call is
+    this core at m = 1, with no path of its own.  Two roots are near
     when their inclusion discs overlap or they lie within _NEAR (a pole
     star is near none), and only the rows with a near pair go to
     ``_resolve_clusters``, one at a time.  Raises DomainError when a root
@@ -430,7 +440,7 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
             w[rows, n - l + f :], radii[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
     rows = (last > first).nonzero()[0]
     v = _chart(w)
-    if first.any():
+    if np.count_nonzero(first):
         v[np.arange(n) < first[:, None]] = (0.0, 0.0, -1.0)
     if rows.size:
         vr, rr = (v, radii) if rows.size == m else (v[rows], radii[rows])

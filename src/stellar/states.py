@@ -176,9 +176,9 @@ def _unit_rows(d: np.ndarray) -> np.ndarray:
     """
     parts = d.view(np.float64)  # (m, 2k): each row's real and imaginary parts, interleaved
     top = np.abs(parts).max(axis=1)  # NaN or inf for a row with a non-finite part
-    if not np.isfinite(top).all():
+    if np.count_nonzero(np.isfinite(top)) < top.size:
         raise DomainError("non-finite amplitude")
-    if not top.all():
+    if np.count_nonzero(top) < top.size:
         raise DomainError("the zero vector is not a state")
     np.ldexp(parts, 1 - np.frexp(top)[1][:, None], out=parts)
     re, im = d.real[:, None, :], d.imag[:, None, :]
@@ -194,7 +194,7 @@ def _canonical(d: np.ndarray) -> np.ndarray:
     d = _unit_rows(d)
     mags = np.abs(d)
     rows = np.arange(d.shape[0])
-    k = np.argmax(mags >= _PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
+    k = (mags >= _PHASE_TOL * mags.max(axis=1, keepdims=True)).argmax(axis=1)
     pivot = d[rows, k]
     turn = np.array([cmath.exp(-1j * cmath.phase(z)) for z in pivot.tolist()])
     d *= turn[:, None]
@@ -296,19 +296,26 @@ def _pair_product_coeffs(pairs: Sequence[tuple[complex, complex]]) -> np.ndarray
     """Coefficients e_k of prod_j (a_j + b_j t) = sum_k e_k t^k.
 
     This homogeneous form of the elementary symmetric polynomials stays
-    finite for stars at either pole.
+    finite for stars at either pole.  It keeps the per-factor operation
+    order, c = a * [c, 0] + b * [0, c], so its bits are those of a loop that
+    concatenates: the coefficients so far, buf[1:j+2], sit between a zero slot
+    and the still-zero rest of one buffer, so both padded copies are slices of it.
     """
-    c = np.array([1.0 + 0.0j])
-    for a, b in pairs:
-        c = a * np.concatenate([c, [0.0]]) + b * np.concatenate([[0.0], c])
-    return c
+    buf = np.zeros(len(pairs) + 2, dtype=np.complex128)
+    buf[1] = 1.0
+    for j, (a, b) in enumerate(pairs):
+        c = a * buf[1 : j + 3]
+        c += b * buf[: j + 2]
+        buf[1 : j + 3] = c
+    return buf[1:]
 
 
 def _state_from_pairs(pairs: Sequence[tuple[complex, complex]]) -> SymmetricState:
     """The symmetrized product of the qubits (a_j, b_j); n >= 1030 is refused before the product."""
-    n = len(pairs)
-    sqrt_binom = _sqrt_binom(n)  # before the O(n**2) product
-    return SymmetricState(n, _pair_product_coeffs(pairs) / sqrt_binom)
+    sqrt_binom = _sqrt_binom(len(pairs))  # before the O(n**2) product
+    d = _canonical((_pair_product_coeffs(pairs) / sqrt_binom)[None])[0]
+    d.flags.writeable = False
+    return SymmetricState._from_canonical(d)
 
 
 def symmetrize(parts: Sequence[QubitState]) -> SymmetricState:

@@ -28,6 +28,9 @@ class TestAngleParsing:
             ("pi", math.pi),
             ("2pi/3", 2 * math.pi / 3),
             ("pi/2", math.pi / 2),
+            ("PI/2", math.pi / 2),
+            ("Pi/4", math.pi / 4),
+            ("-pi", -math.pi),
             ("-pi/4", -math.pi / 4),
             ("0.5pi", math.pi / 2),
             ("2*pi/3", 2 * math.pi / 3),
@@ -143,6 +146,9 @@ class TestExitCodes:
             pytest.param(["sweep", "--family", "dicke"], {}, id="dicke-without-n"),
             pytest.param(["sweep", "--family", "foo"], {}, id="unknown-family"),
             pytest.param(["random", "--n", "3"], {"STELLAR_SEED": "abc"}, id="seed-env"),
+            # the dotless and the dotted capital i are no ASCII i, so neither spells pi
+            pytest.param(["reduce", "--hamiltonian", "X", "--beta", "p\u0131/2"], {}, id="beta-dotless-i"),
+            pytest.param(["reduce", "--hamiltonian", "X", "--beta", "P\u0130/2"], {}, id="beta-dotted-i"),
         ],
     )
     def test_domain_error_is_3(self, capsys, monkeypatch, args, env):
@@ -592,6 +598,12 @@ class TestConsoleScript:
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_import_leaves_secrets_unloaded(self):
+        # secrets loads OpenSSL; only a random command without a seed imports it
+        code = "import sys, stellar.cli; assert 'secrets' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNoScipyAtRunTime:

@@ -311,6 +311,40 @@ class TestStarVectorsBatch:
         assert firsts == set(range(8))
 
 
+class TestOneRowIsTheBatchCore:
+    """A one-row call is the batch core at m = 1: its bytes are its row's in any batch."""
+
+    @staticmethod
+    def _mixed(n, seed):
+        rng = np.random.default_rng(seed)
+        rows = [haar_state(n, rng) for _ in range(3)]
+        rows += [st.symmetrize([st.QubitState(math.pi * int(b)) for b in rng.integers(0, 2, n)]) for _ in range(2)]
+        rows += [st.coherent_state(n, uniform_qubit(rng))]
+        rows += [st.compose(st.coherent_state(n - 2, uniform_qubit(rng)), st.symmetrize([uniform_qubit(rng)] * 2))]
+        rows += [st.symmetrize([st.QubitState(0.0)] + [uniform_qubit(rng) for _ in range(n - 2)] + [st.QubitState(math.pi)])]
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 12, 16, 24])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_of_a_mixed_batch(self, n, seed):
+        rows = self._mixed(n, seed)
+        batch = _star_vectors_batch(np.array([s.d for s in rows]))
+        for s, v in zip(rows, batch):
+            assert _star_vectors(s).tobytes() == v.tobytes()
+            want = np.array([(q.x, q.y, q.z) for q in st.Star._from_unit_rows(v)])
+            assert st.state_to_stars(s).as_array().tobytes() == want.tobytes()
+
+    @given(hs.lists(hs.tuples(hs.floats(0.0, math.pi), hs.floats(-1.0, 7.0)), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_as_array_is_the_stacked_star_arrays(self, angles):
+        c = st.Constellation(len(angles), tuple(st.Star.from_angles(t, p) for t, p in angles))
+        signed = st.Constellation(2, (st.Star(-0.0, 0.0, 1.0), st.Star(0.0, -0.0, -1.0)))
+        for k in (c, signed):
+            want = np.array([q.as_array() for q in k.stars])
+            got = k.as_array()
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _star_of(q: st.QubitState) -> st.Star:
     return st.Star.from_angles(q.theta, q.phi)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import stellar as st
+from stellar import states
 from stellar.errors import DomainError, ResourceError, SymmetryViolationError
 from stellar.states import _exactly_symmetric, _sqrt_binom
 
@@ -128,6 +129,67 @@ class TestSymmetrize:
     def test_constant_overflow_is_resource_error(self):
         with pytest.raises(ResourceError):
             st.symmetrization_constant([st.QubitState(0, 0)] * 120)
+
+
+def _per_factor_pair_product(pairs):
+    """The Vieta product as it stood before it worked in one buffer, kept verbatim as the bitwise reference."""
+    c = np.array([1.0 + 0.0j])
+    for a, b in pairs:
+        c = a * np.concatenate([c, [0.0]]) + b * np.concatenate([[0.0], c])
+    return c
+
+
+# one factor of a product: a star at either pole, the previous factor again, a qubit, or any complex pair
+_PART = hs.floats(-4.0, 4.0, allow_subnormal=True) | hs.sampled_from([0.0, -0.0])
+_FACTOR = (
+    hs.sampled_from(["north", "south", "repeat"])
+    | hs.tuples(hs.floats(0.0, math.pi), hs.floats(0.0, 2.0 * math.pi))
+    | hs.tuples(_PART, _PART, _PART, _PART)
+)
+
+
+def _pairs_from(factors):
+    pairs = []
+    for f in factors:
+        if f == "repeat":
+            pairs.append(pairs[-1] if pairs else (1.0 + 0.0j, 0.0j))
+        elif isinstance(f, str):
+            pairs.append(st.QubitState(0.0 if f == "north" else math.pi).amplitudes)
+        elif len(f) == 2:
+            pairs.append(st.QubitState(*f).amplitudes)
+        else:
+            pairs.append((complex(f[0], f[1]), complex(f[2], f[3])))
+    return pairs
+
+
+class TestPairProduct:
+    """The one-buffer Vieta product keeps the per-factor operations, so every byte of the old product."""
+
+    @given(hs.lists(_FACTOR, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_factor(self, factors):
+        pairs = _pairs_from(factors)
+        got, want = states._pair_product_coeffs(pairs), _per_factor_pair_product(pairs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+    def test_poles_and_repeats(self, n):
+        rng = np.random.default_rng(n)
+        q = uniform_qubit(rng).amplitudes
+        for pairs in ([q] * n, [(1.0 + 0.0j, 0.0j)] * n, [(0.0j, 1.0 + 0.0j)] * n,
+                      [(0.0j, 1.0 + 0.0j), q, (1.0 + 0.0j, 0.0j)] * n):
+            assert states._pair_product_coeffs(pairs).tobytes() == _per_factor_pair_product(pairs).tobytes()
+
+    @given(hs.lists(hs.tuples(hs.floats(0.0, math.pi), hs.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_state_as_the_constructor_gives_it(self, angles):
+        # symmetrize hands the fresh row to _canonical and skips the constructor: the same bits
+        parts = [st.QubitState(t, p) for t, p in angles]
+        raw = _per_factor_pair_product([q.amplitudes for q in parts]) / _sqrt_binom(len(parts))
+        got = st.symmetrize(parts)
+        assert got.d.tobytes() == st.SymmetricState(len(parts), raw).d.tobytes()
+        assert got.n == len(parts) and not got.d.flags.writeable
 
 
 class TestCoherent:
