@@ -129,8 +129,14 @@ def _as_matrix(h: HermitianOperator | np.ndarray, check) -> tuple[np.ndarray, in
 def _check_unitary(u: np.ndarray, what: str) -> None:
     """NumericError if the square matrix u is further than 1e-10 from unitary; ``what`` names it."""
     deficit = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max(initial=0.0))
-    if deficit > 1e-10:
+    if not deficit <= 1e-10:  # a NaN deficit fails too
         raise NumericError(f"{what} lost unitarity (deficit {deficit:.3e} > 1e-10)")
+
+
+def _check_phases(beta: float, lam: np.ndarray) -> None:
+    """DomainError unless every phase beta * lam of the eigenvalues lam is finite, so beta too."""
+    if not math.isfinite(abs(float(beta)) * float(np.abs(lam).max())):  # Python floats: inf without a warning
+        raise DomainError(f"the phases beta * lambda must be finite, got beta = {beta}")
 
 
 def build_transition(n: int) -> np.ndarray:
@@ -168,14 +174,13 @@ def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
     and refused with ResourceError above MAX_MATRIX_BYTES before the
     eigendecomposition.
     """
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
     m, n = _as_matrix(h, _check_hermitian)
     _check_bytes(6 * 16 * 4**n, f"exponentiating a {n}-qubit matrix needs")
     try:
         lam, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    _check_phases(beta, lam)
     u = (q * np.exp(-1j * beta * lam)) @ q.conj().T
     _check_unitary(u, "exponentiate")
     return u
@@ -383,6 +388,9 @@ def evolve(
     diffs = np.diff(grid)
     if diffs.size and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("beta grid must be strictly monotone")
+    top = float(np.abs(grid).max())  # no midpoint lies further out
+    if not math.isfinite(2.0 * top):  # a midpoint adds two neighbours
+        raise DomainError(f"beta grid must be finite, within half the float range, got |beta| up to {top}")
     _check_frames(grid.size, n)
 
     # project H onto the Dicke block and diagonalize once
@@ -392,6 +400,7 @@ def evolve(
         lam, q = np.linalg.eigh(h_block)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    _check_phases(top, lam)
     coeff0 = q.conj().T @ psi0.d
 
     def frames(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

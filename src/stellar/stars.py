@@ -257,7 +257,7 @@ def _tiles(p: np.ndarray, r: int) -> np.ndarray:
 
 
 def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i's polynomial (coefficients in ``_tiles`` form) at the points x[i], in np.polyval's order.
+    """Row i's polynomial (coefficients in ``_tiles`` form) at the points x[i], by Horner's rule as numpy's polyval.
 
     Tiles of x's own shape make every step a same-shape operation, done in place.
     """
@@ -269,18 +269,19 @@ def _horner(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simultaneous Newton (Aberth-Ehrlich) polish of all roots of each row of p, up to 30 steps.
+    """Simultaneous Newton (Aberth-Ehrlich) polish of r roots of each degree-deg row of p, up to 30 steps.
 
-    A root stops moving when its residual is at the round-off floor of
-    polynomial evaluation; roots whose update would not be finite are left
-    at their companion-matrix estimate.  A row with no root left to move
+    The roots repel only each other, so one root (r = 1) takes Newton
+    steps.  A root stops moving when its residual is at the round-off
+    floor of polynomial evaluation, and one whose update would not be
+    finite is left where it is.  A row with no root left to move
     is a fixed point of the step, so every row takes the steps it would
     take alone.  Also returns the residual bounds at the returned roots,
     |A(x)| + 4 deg eps sum_k |a_k| |x|^(deg-k), from the last evaluation.
     Runs under the caller's ``np.errstate(all="ignore")``.
     """
-    m, deg = roots.shape
-    pt, at, dpt = _tiles(p, deg), _tiles(np.abs(p), deg), None  # dpt once a step is taken
+    (m, r), deg = roots.shape, p.shape[1] - 1
+    pt, at, dpt = _tiles(p, r), _tiles(np.abs(p), r), None  # dpt once a step is taken
     for steps in range(31):
         val, size = _horner(pt, roots), _horner(at, np.abs(roots))
         residual = np.abs(val)
@@ -288,11 +289,11 @@ def _aberth_refine(p: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.nda
         if steps == 30 or np.count_nonzero(done) == done.size:
             break
         if dpt is None:
-            dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), deg)
+            dpt = _tiles(p[:, :-1] * np.arange(deg, 0, -1), r)
         dval = _horner(dpt, roots)
         newton = np.where(dval != 0.0, val / np.where(dval != 0.0, dval, 1.0), 0.0)
         diff = roots[:, :, None] - roots[:, None, :]
-        diff.reshape(m, -1)[:, :: deg + 1] = np.inf
+        diff.reshape(m, -1)[:, :: r + 1] = np.inf
         repulsion = (1.0 / diff).sum(axis=2)
         denom = 1.0 - newton * repulsion
         step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0.0, denom, 1.0), newton)
@@ -336,40 +337,27 @@ def _polynomial_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, radii
 
 
-def _refine_multiple_root(coeffs: np.ndarray, w0: complex | None, m: int) -> np.ndarray:
-    """Newton-polish an m-fold root: it is a simple root of the (m-1)-th
-    derivative, so the cluster centroid converges to machine precision.
+def _refine_multiple_root(coeffs: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
+    """The m-fold root of ``coeffs`` (highest degree first) next to the unit vector u, as a unit vector (3,).
 
-    ``coeffs`` is the full polynomial, highest degree first; roots beyond
-    the unit circle (or at infinity, w0 None) are handled on the reversed
-    polynomial so the pole chart stays regular.  Each derivative is scaled
-    by the power of two that brings its largest coefficient below 1: exact,
-    so no Newton step changes, and the chain cannot overflow.
+    The root is a simple root of the (m-1)-th derivative, which
+    ``_aberth_refine`` polishes with Newton steps from u's chart point.
+    Each derivative is scaled by the power of two that brings its largest
+    coefficient below 1: exact, so no step changes, and the chain cannot
+    overflow.  Below the equator the reversed polynomial is used, whose
+    roots 1/w are the chart points (x - iy) / (1 - z) of the mirror images
+    (x, -y, -z): the pole chart stays regular, and mirroring back is exact.
     """
-    if w0 is None:
-        work, x, inverted = coeffs[::-1], 0.0 + 0.0j, True
-    elif abs(w0) > 1.0:
-        work, x, inverted = coeffs[::-1], 1.0 / w0, True
-    else:
-        work, x, inverted = coeffs, complex(w0), False
-    q = work
+    x, y, z = u.tolist()
+    south = z < 0.0
+    q = coeffs[::-1] if south else coeffs
     for _ in range(m - 1):
         q = np.polyder(q)
         q = q * 2.0 ** -math.frexp(float(np.abs(q).max()))[1]
-    dq = np.polyder(q)
-    for _ in range(60):
-        dqv = np.polyval(dq, x)
-        if dqv == 0.0:
-            break
-        step = np.polyval(q, x) / dqv
-        x -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    if inverted:
-        if abs(x) < 1e-300:
-            return np.array([0.0, 0.0, -1.0])
-        x = 1.0 / x
-    return _chart(x)
+    with np.errstate(all="ignore"):
+        root = _aberth_refine(q[None], np.array([[complex(x, -y if south else y) / (1.0 + abs(z))]]))[0]
+    v = _chart(root[0, 0])
+    return v * (1.0, -1.0, -1.0) if south else v
 
 
 def _clusters(near: np.ndarray) -> list[np.ndarray]:
@@ -396,7 +384,7 @@ def _resolve_clusters(d: np.ndarray, v: np.ndarray, coeffs: np.ndarray, g: np.nd
         centroid = v[members].mean(axis=0)
         if (norm := float(np.linalg.norm(centroid))) >= 1e-6:
             trial = v.copy()
-            trial[members] = _refine_multiple_root(coeffs, sphere_to_plane(Star(*(centroid / norm))), members.size)
+            trial[members] = _refine_multiple_root(coeffs, centroid / norm, members.size)
             if abs(np.vdot(_state_from_pairs(_pairs(trial)).d, d)) >= 1.0 - 1e-12:
                 v = trial
                 continue

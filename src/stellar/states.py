@@ -255,6 +255,7 @@ def dicke_state(n: int, k: int) -> SymmetricState:
     k = int(k)
     if not 0 <= k <= n:
         raise DomainError(f"excitation number k={k} outside 0..{n}")
+    _check_bytes(48 * (n + 1), f"a {n}-qubit Dicke state needs")  # tracemalloc: the peak per coefficient
     d = np.zeros(n + 1, dtype=np.complex128)
     d[k] = 1.0
     return SymmetricState(n, d)
@@ -273,6 +274,7 @@ def ghz_state(n: int) -> SymmetricState:
     n = int(n)
     if n < 2:
         raise DomainError("GHZ needs at least 2 qubits")
+    _check_bytes(48 * (n + 1), f"a {n}-qubit GHZ state needs")  # as dicke_state
     d = np.zeros(n + 1, dtype=np.complex128)
     d[0] = d[n] = 1.0
     return SymmetricState(n, d)
@@ -531,9 +533,9 @@ def is_permutation_symmetric(full: FullState) -> SymmetryReport:
 
 def jm_to_nk(j: float, m: float) -> tuple[int, int]:
     """Map an angular-momentum label |j, m> to the Dicke label (n, k)."""
-    if not (math.isfinite(j) and math.isfinite(m)):
-        raise DomainError(f"j and m must be finite, got j={j}, m={m}")
     n = 2.0 * j
+    if not (math.isfinite(n) and math.isfinite(j - m)):  # so that k below is finite too
+        raise DomainError(f"2j and j - m must be finite, got j={j}, m={m}")
     if abs(n - round(n)) > 1e-9 or n < 1:
         raise DomainError(f"j must be a positive half-integer, got {j}")
     n = int(round(n))

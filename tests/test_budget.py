@@ -1,5 +1,6 @@
 """One byte budget, errors.MAX_MATRIX_BYTES, refuses every oversized request with its own message."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,8 @@ def test_hamiltonians_reexports_the_budget():
         (lambda: _check_sweep_rows(7), "a sweep of 7 points needs up to 1127 bytes"),
         (lambda: st.exponentiate(np.eye(8), 0.1), "exponentiating a 3-qubit matrix needs 6144 bytes"),
         (lambda: st.reduce_unitary(np.eye(8)), "reducing a 3-qubit unitary needs 6144 bytes"),
+        (lambda: st.dicke_state(20, 3), "a 20-qubit Dicke state needs 1008 bytes"),
+        (lambda: st.ghz_state(20), "a 20-qubit GHZ state needs 1008 bytes"),
     ],
 )
 def test_messages(monkeypatch, call, message):
@@ -50,10 +53,12 @@ def test_embed_and_project_refused_before_allocating(monkeypatch, call, per_ampl
     state = st.coherent_state(12, st.QubitState(1.1, 0.4))
     full = st.embed_full(state)
     need = per_amplitude * 2**12
+    # compiled before tracing: a pattern that other tests pushed out of re's cache costs about 1.5 KiB to compile
+    message = re.compile(f"12-qubit state needs {need} bytes")
     monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", need - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match=f"12-qubit state needs {need} bytes"):
+        with pytest.raises(ResourceError, match=message):
             call(state, full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -76,6 +81,22 @@ def test_embed_and_project_peak_within_counted_bytes(monkeypatch, call, per_ampl
     assert peak <= per_amplitude * 2**14
 
 
+@pytest.mark.parametrize("call", [lambda n: st.dicke_state(n, 3), st.ghz_state])
+def test_dicke_and_ghz_refused_before_allocating(monkeypatch, call):
+    need = 48 * (4096 + 1)
+    monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"4096-qubit .* state needs {need} bytes"):
+            call(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4096  # not even the row
+    monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", need)
+    assert call(4096).n == 4096
+
+
 def test_message_at_the_real_budget():
     with pytest.raises(ResourceError) as info:
         st.build_matrix(parse("sym(Z Z" + " I" * 12 + ")"))
@@ -87,10 +108,11 @@ def test_dense_dynamics_refused_before_allocating(monkeypatch, capsys):
     h = st.build_matrix(parse("sym(X Z I)"))
     u = st.exponentiate(h, 0.7)
     monkeypatch.setattr(errors, "MAX_MATRIX_BYTES", 4096)
+    message = re.compile("needs 6144 bytes")  # compiled before tracing, as above
     for call in (lambda: st.exponentiate(h, 0.7), lambda: st.reduce_unitary(u)):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceError, match="needs 6144 bytes"):
+            with pytest.raises(ResourceError, match=message):
                 call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -244,6 +244,8 @@ class TestMalformedInput:
             ["sweep", "--family", "twoqubit", "--grid", "0"],
             ["sweep", "--family", "threequbit", "--grid", "0"],
             ["sweep", "--family", "dicke", "--n", "-1"],
+            ["reduce", "--hamiltonian", "sym(X Z)", "--beta", "1.7e308"],
+            ["evolve", "--hamiltonian", "sym(X Z)", "--state", "00", "--betas", "0:1.7e308:3"],
         ],
     )
     def test_domain_error_is_3(self, capsys, args):
@@ -265,6 +267,10 @@ class TestMalformedInput:
             ["sweep", "--family", "twoqubit", "--grid", "100000000"],
             ["sweep", "--family", "threequbit", "--grid", "100000000", "--eg"],
             ["sweep", "--family", "dicke", "--n", "100000000"],
+            ["stars", "--dicke", "1000000000", "3"],
+            ["stars", "--ghz", "1000000000"],
+            ["stars", "--w", "1000000000"],
+            ["stars", "--state", "ghz:1000000000"],
         ],
     )
     def test_resource_error_is_3(self, capsys, args):

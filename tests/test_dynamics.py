@@ -158,6 +158,14 @@ class TestExponentiate:
         with pytest.raises(DomainError):
             st.exponentiate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    def test_overflowing_phase_refused(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            st.exponentiate(st.build_matrix(parse("sym(X Z)")), 1e308)
+
+    def test_nan_matrix_is_not_unitary(self):
+        with pytest.raises(NumericError, match="lost unitarity"):
+            dynamics._check_unitary(np.full((2, 2), np.nan), "a NaN matrix")
+
     def test_anti_hermitian_ndarray_rejected_by_evolve_and_exponentiate(self):
         # permutation symmetric, so only the Hermiticity check can refuse it
         m = 1j * st.build_matrix(parse("sym(X I)")).matrix
@@ -261,6 +269,16 @@ class TestEvolve:
         h = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
         with pytest.raises(SymmetryViolationError):
             st.evolve(h, st.dicke_state(2, 0), [0.0, 0.1])
+
+    def test_overflowing_phase_refused(self):
+        # the eigenvalues of the block are 0 and +-8, and 8e307 * 8 overflows
+        with pytest.raises(DomainError, match="must be finite"):
+            st.evolve(st.build_matrix(parse("4*sym(X Z)")), st.dicke_state(2, 0), [0.0, 8e307])
+
+    def test_grid_whose_midpoints_overflow_refused(self):
+        # the phases are finite, but a midpoint's sum 0.9e308 + 1.7e308 is not
+        with pytest.raises(DomainError, match="half the float range"):
+            st.evolve(st.build_matrix(parse("1e-307*sym(X Z)")), st.dicke_state(2, 0), [0.9e308, 1.7e308])
 
     def test_grid_must_be_monotone(self):
         h = st.build_matrix(parse(XY_HALF))

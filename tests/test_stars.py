@@ -349,6 +349,13 @@ def _star_of(q: st.QubitState) -> st.Star:
     return st.Star.from_angles(q.theta, q.phi)
 
 
+# directions in both hemispheres, on the equator, and 1e-3 and 1e-6 rad from each pole; at n = 80 the row
+# of a direction 1e-6 rad from a pole ends in (5e-7)**80, below the float range: it holds the pole itself
+_FAR = [(0.3, 0.4), (2.0, 2.5), (math.pi / 2, 4.0), (1e-3, 0.7), (math.pi - 1e-3, 3.3)]
+_NEAR = [(1e-6, 5.9), (math.pi - 1e-6, 1.3)]
+COHERENT_DIRECTIONS = [(n, *d) for n in (2, 3, 8, 20, 40, 80) for d in _FAR + (_NEAR if n <= 40 else [])]
+
+
 class TestClusters:
     """Multiple stars found from overlapping inclusion discs, and rows that cannot be resolved."""
 
@@ -389,6 +396,19 @@ class TestClusters:
     def test_multiple_star_beside_a_close_star(self):
         c = self._multiple_among_uniform(5, 301)
         assert match_constellations(c, st.state_to_stars(st.stars_to_state(c))) <= 1e-6
+
+    @pytest.mark.parametrize("n, theta, phi", COHERENT_DIRECTIONS)
+    def test_coherent_to_the_last_bits(self, n, theta, phi):
+        q = st.QubitState(theta, phi)
+        u = q.bloch_vector()
+        v = _star_vectors(st.coherent_state(n, q))
+        # the angle by atan2: arccos cannot resolve one below about 1e-8
+        assert np.arctan2(np.linalg.norm(np.cross(v, u), axis=1), v @ u).max() <= 1e-14
+
+    def test_multiple_root_at_the_south_pole(self):
+        # w + 2 and three roots at infinity: the reversed row has its triple root at 0, where the polish starts
+        v = stars._refine_multiple_root(np.array([0, 0, 0, 1, 2], complex), np.array([0.0, 0.0, -1.0]), 3)
+        assert v.tolist() == [0.0, 0.0, -1.0]
 
     @pytest.mark.parametrize("n", [200, 400, 1000])
     def test_coherent_at_large_n(self, n):

@@ -390,6 +390,11 @@ class TestLabels:
         with pytest.raises(DomainError):
             st.jm_to_nk(j, m)
 
+    @pytest.mark.parametrize("j,m", [(1e308, 0.0), (5e307, -1.7e308)])
+    def test_overflowing_label_is_domain_error(self, j, m):
+        with pytest.raises(DomainError, match="must be finite"):
+            st.jm_to_nk(j, m)
+
 
 class TestBinomialRange:
     def test_last_representable_n_is_unchanged(self):
