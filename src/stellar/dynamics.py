@@ -12,12 +12,13 @@ then numbers the stars in one walk along the frames, already in grid order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SymmetryViolationError, _check_bytes
+from .errors import DomainError, NumericError, SymmetryViolationError, _check_bytes, _check_phases, _eigh
 from .hamiltonians import HermitianOperator, _check_hermitian
 from .measures import _e_b
 from .stars import _angles, _geodesic, _star_vectors_batch
@@ -133,12 +134,6 @@ def _check_unitary(u: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} lost unitarity (deficit {deficit:.3e} > 1e-10)")
 
 
-def _check_phases(beta: float, lam: np.ndarray) -> None:
-    """DomainError unless every phase beta * lam of the eigenvalues lam is finite, so beta too."""
-    if not math.isfinite(abs(float(beta)) * float(np.abs(lam).max())):  # Python floats: inf without a warning
-        raise DomainError(f"the phases beta * lambda must be finite, got beta = {beta}")
-
-
 def build_transition(n: int) -> np.ndarray:
     """Dicke-adapted orthonormal basis of the full n-qubit space, as a 2**n x 2**n unitary.
 
@@ -176,10 +171,7 @@ def exponentiate(h: HermitianOperator | np.ndarray, beta: float) -> np.ndarray:
     """
     m, n = _as_matrix(h, _check_hermitian)
     _check_bytes(6 * 16 * 4**n, f"exponentiating a {n}-qubit matrix needs")
-    try:
-        lam, q = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    lam, q = _eigh(m)
     _check_phases(beta, lam)
     u = (q * np.exp(-1j * beta * lam)) @ q.conj().T
     _check_unitary(u, "exponentiate")
@@ -396,10 +388,7 @@ def evolve(
     # project H onto the Dicke block and diagonalize once
     s = _dicke_isometry(n)
     h_block = s.T @ m @ s
-    try:
-        lam, q = np.linalg.eigh(h_block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    lam, q = _eigh(h_block)
     _check_phases(top, lam)
     coeff0 = q.conj().T @ psi0.d
 
@@ -450,7 +439,9 @@ def velocity_profile(
     in magnitude, when theta jumps more than 1 rad across an adjacent step,
     or when the trajectory itself reported a matching discontinuity there;
     inside those windows the finite difference is not a trustworthy
-    derivative (star collisions and pole passages).
+    derivative (star collisions and pole passages).  A grid whose
+    adjacent steps multiply out of the normal float range, which the
+    differences divide by, raises DomainError.
     """
     if not (math.isfinite(divergence_threshold) and divergence_threshold >= 0.0):
         raise DomainError(
@@ -458,6 +449,12 @@ def velocity_profile(
         )
     if traj.betas.size < 3:
         raise DomainError("velocity needs at least 3 grid points")
+    h = np.abs(np.diff(traj.betas))  # a monotone grid's steps share one sign
+    with np.errstate(over="ignore"):
+        # np.gradient divides by h1 h2, h1 (h1 + h2) and h2 (h1 + h2); the first is the least
+        low, high = h[:-1] * h[1:], np.maximum(h[:-1], h[1:]) * (h[:-1] + h[1:])
+    if not (low.min() >= sys.float_info.min and high.max() <= sys.float_info.max):
+        raise DomainError(f"velocity needs beta steps whose products are normal floats, got {h.min():.3g} to {h.max():.3g}")
     thetas = traj.thetas
     dtheta = np.gradient(thetas, traj.betas, axis=0)
     step_jump = np.abs(np.diff(thetas, axis=0)) > 1.0

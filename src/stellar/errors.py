@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the one byte budget."""
+"""Exception types shared across the package, the one byte budget, and the guards of the unitary maps."""
+
+import math
+
+import numpy as np
 
 # the most bytes one dense array or one output may take: a complex 2^n x 2^n matrix up to n = 13
 MAX_MATRIX_BYTES = 2**30
@@ -24,6 +28,20 @@ def _check_bytes(need: int, what: str) -> None:
 
 class NumericError(StellarError):
     """A numerical routine failed to meet its accuracy contract."""
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian matrix m; NumericError if the eigensolver fails."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _check_phases(beta: float, lam: np.ndarray) -> None:
+    """DomainError unless every phase beta * lam of the eigenvalues lam is finite, so beta too."""
+    if not math.isfinite(abs(float(beta)) * float(np.abs(lam).max())):  # Python floats: inf without a warning
+        raise DomainError(f"the phases beta * lambda must be finite, got beta = {beta}")
 
 
 class SymmetryViolationError(StellarError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_bytes
+from .errors import ConvergenceError, DomainError, _check_bytes, _check_phases, _eigh
 from .stars import Constellation, Star, _star_vectors
 from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
 
@@ -379,7 +379,9 @@ def rotate_state(state: SymmetricState, axis: Star, angle: float) -> SymmetricSt
     Applies the spin rotation exp(-i*angle*(axis . J)) in the Dicke basis,
     which equals the single-qubit rotation on every tensor factor, up to
     global phase.  (axis . J) is tridiagonal there, with
-    <k|J_z|k> = n/2 - k and <k-1|J_+|k> = sqrt(k(n-k+1)).
+    <k|J_z|k> = n/2 - k and <k-1|J_+|k> = sqrt(k(n-k+1)).  Fails as
+    ``exponentiate`` does: DomainError for a phase angle * lambda that is
+    not finite, NumericError when the eigensolver fails.
     """
     n = state.n
     ux, uy, uz = axis.as_array()
@@ -388,5 +390,6 @@ def rotate_state(state: SymmetricState, axis: Star, angle: float) -> SymmetricSt
     upper = 0.5 * complex(ux, -uy) * np.sqrt(k[1:] * (n - k[1:] + 1.0))
     gen[k[:-1], k[1:]] = upper
     gen[k[1:], k[:-1]] = upper.conj()
-    lam, vec = np.linalg.eigh(gen)
+    lam, vec = _eigh(gen)
+    _check_phases(angle, lam)
     return SymmetricState(n, vec @ (np.exp(-1j * float(angle) * lam) * (vec.conj().T @ state.d)))

@@ -13,9 +13,9 @@ convention is fixed so that the constellation of a product state
 
 A multiple star (n of them for a coherent state) comes out of the root
 solve as a ring of simple roots.  Each root carries the radius of its
-Weierstrass inclusion disc; roots whose discs overlap, or that lie within
-12 sqrt(eps) of each other, form one cluster, which is collapsed into one
-multiple star when the state confirms it.
+Weierstrass inclusion disc, and an exact pole star radius 0.  Stars whose
+discs overlap or lie within 12 sqrt(eps), but not two pole stars, form
+one cluster, collapsed into one multiple star when the state confirms it.
 """
 
 from __future__ import annotations
@@ -403,12 +403,12 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     Each row's stars are sorted by (theta, phi) and include its pole
     multiplicities, exactly as that row alone would give them: rows of one
     effective degree share one stacked root solve, and a one-row call is
-    this core at m = 1, with no path of its own.  Two roots are near
-    when their inclusion discs overlap or they lie within _NEAR (a pole
-    star is near none), and only the rows with a near pair go to
-    ``_resolve_clusters``, one at a time.  Raises DomainError when a root
-    finds no place on the sphere, and NumericError when a cluster is left
-    that misses the row.
+    this core at m = 1, with no path of its own.  One rule tests every row:
+    two stars are near when their inclusion discs overlap or they lie within
+    _NEAR; a pole star is exact, with radius 0, and two pole stars are never
+    near.  Near pairs go to ``_resolve_clusters`` row by row.  Raises
+    DomainError when a root finds no place on the sphere, and NumericError
+    when a cluster is left that misses the row.
     """
     m, n = d.shape[0], d.shape[1] - 1
     coeffs = _signed_sqrt_binom(n) * d  # index k multiplies w^(n-k)
@@ -419,25 +419,23 @@ def _star_vectors_batch(d: np.ndarray) -> np.ndarray:
     for i, key in enumerate(zip(first.tolist(), last.tolist())):
         groups.setdefault(key, []).append(i)
     # per row: `first` south poles, then `n - last` north poles (w = 0), then the roots;
-    # a pole star is exact, and its radius NaN keeps it out of every cluster
+    # a pole star is exact, so its radius is 0
     w = np.zeros((m, n), dtype=np.complex128)
-    radii = np.full((m, n), np.nan)
+    radii = np.zeros((m, n))
     for (f, l), members in groups.items():
         if l > f:
             rows = slice(None) if len(groups) == 1 else members
             w[rows, n - l + f :], radii[rows, n - l + f :] = _polynomial_roots(coeffs[rows, f : l + 1] / scale[rows])
-    rows = (last > first).nonzero()[0]
     v = _chart(w)
     if np.count_nonzero(first):
         v[np.arange(n) < first[:, None]] = (0.0, 0.0, -1.0)
-    if rows.size:
-        vr, rr = (v, radii) if rows.size == m else (v[rows], radii[rows])
-        g = _geodesic(vr, vr)
-        g.reshape(rows.size, n * n)[:, :: n + 1] = np.inf
-        near = g <= np.maximum(rr[:, :, None] + rr[:, None, :], _NEAR)
-        for k in near.any(axis=(1, 2)).nonzero()[0].tolist():
-            i = rows[k]
-            v[i] = _resolve_clusters(d[i], v[i], coeffs[i] / scale[i], g[k], radii[i], near[k])
+    g = _geodesic(v, v)
+    g.reshape(m, n * n)[:, :: n + 1] = np.inf
+    # two pole stars coincide or are antipodes already, so only their pairs are left out
+    pole = np.arange(n) < (n - last + first)[:, None]
+    near = (g <= np.maximum(radii[:, :, None] + radii[:, None, :], _NEAR)) & ~(pole[:, :, None] & pole[:, None, :])
+    for i in near.any(axis=(1, 2)).nonzero()[0].tolist():
+        v[i] = _resolve_clusters(d[i], v[i], coeffs[i] / scale[i], g[i], radii[i], near[i])
     order = np.lexsort(_angles(v)[::-1], axis=-1)  # by theta, then phi
     return v[np.arange(m)[:, None], order]
 

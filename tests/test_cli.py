@@ -198,6 +198,14 @@ class TestExitCodes:
         )
         assert code == 4 and "symmetr" in err.lower()
 
+    def test_failed_eigendecomposition_is_4(self, capsys, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run_cli(capsys, ["reduce", "--hamiltonian", "X x X + Y x Y", "--beta", "0.5"])
+        assert (code, out, err) == (4, "", "error: eigendecomposition failed: Eigenvalues did not converge\n")
+
     @pytest.mark.parametrize(
         "error,code",
         [
@@ -246,6 +254,8 @@ class TestMalformedInput:
             ["sweep", "--family", "dicke", "--n", "-1"],
             ["reduce", "--hamiltonian", "sym(X Z)", "--beta", "1.7e308"],
             ["evolve", "--hamiltonian", "sym(X Z)", "--state", "00", "--betas", "0:1.7e308:3"],
+            ["velocity", "--hamiltonian", "sym(X Z)", "--state", "00", "--betas", "0:1e307:30"],
+            ["velocity", "--hamiltonian", "sym(X Z)", "--state", "00", "--betas", "0:1e-300:30"],
         ],
     )
     def test_domain_error_is_3(self, capsys, args):

@@ -656,6 +656,21 @@ class TestTieRule:
         assert not _nearest(left[None], right[None])[1][0] or len(left) == 1
         assert_scipy_match(left, right)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_coherent_start_beside_the_pole(self, flip):
+        # a draw of test_coherent_start: its 2-fold start star lies 1e-13 rad from the north pole, where the
+        # pole strip pins one copy onto the pole; both copies must come back as one star
+        rng = np.random.default_rng(0)
+        q = st.QubitState(1e-13, 0.0)
+        start = st.coherent_state(2, q).d
+        moved = _canonical((start + 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3)))[None])[0]
+        left, right = _star_vectors_batch(np.stack([start, moved]))
+        assert (left == left[0]).all() and np.abs(left[0] - q.bloch_vector()).max() <= 1e-28
+        if flip:
+            left, right = right, left
+        assert not _nearest(left[None], right[None])[1][0]
+        assert_scipy_match(left, right)
+
     def test_nan_star_raises(self):
         prev = AXES[:3].copy()
         prev[1] = np.nan
@@ -828,6 +843,14 @@ class TestArgumentValidation:
         with pytest.raises(NumericError):
             st.evolve(h, st.dicke_state(2, 0), [0.0, 1.0])
 
+    def test_exponentiate_eigh_failure_is_numeric_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            st.exponentiate(st.build_matrix(parse(XY_HALF)), 0.5)
+
     def test_reduce_shape(self):
         for m in (np.eye(3), np.ones(4), np.eye(1), np.zeros((2, 4))):
             with pytest.raises(DomainError):
@@ -870,6 +893,20 @@ class TestVelocity:
         traj = st.evolve(h, st.dicke_state(2, 0), [0.0, 0.01])
         with pytest.raises(DomainError):
             st.velocity_profile(traj)
+
+    @pytest.mark.parametrize("stop", [1e307, 1e-300, -1e-300])
+    def test_step_products_out_of_range_refused(self, stop):
+        # np.gradient's step products overflow (every difference then reads 0) or underflow (NaN and inf)
+        traj = st.evolve(st.build_matrix(parse("sym(X Z)")), st.dicke_state(2, 0), np.linspace(0.0, stop, 30))
+        with pytest.raises(DomainError, match="normal floats"):
+            st.velocity_profile(traj)
+
+    @pytest.mark.parametrize("stop", [29e-150, 29e150, -1.0])
+    def test_step_products_in_range_are_np_gradient(self, stop):
+        # steps of 1e-150 and 1e150: products of 1e-300 and 2e300 are normal floats
+        traj = st.evolve(st.build_matrix(parse("sym(X Z)")), st.dicke_state(2, 0), np.linspace(0.0, stop, 30))
+        prof = st.velocity_profile(traj)
+        assert prof.dtheta.tobytes() == np.gradient(traj.thetas, traj.betas, axis=0).tobytes()
 
 
 class TestProfilesAndSerialization:

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 import stellar as st
 from stellar import measures
 from stellar.cli import main as cli_main
-from stellar.errors import ConvergenceError, DomainError, ResourceError
+from stellar.errors import ConvergenceError, DomainError, NumericError, ResourceError
 from stellar.measures import (
     _ascend,
     _husimi_eval,
@@ -319,6 +319,20 @@ class TestRotateState:
         base = st.e_g(st.ghz_state(4)).value
         rotated = st.rotate_state(st.ghz_state(4), st.Star(0, 1, 0), math.pi / 2)
         assert st.e_g(rotated).value == pytest.approx(base, abs=1e-8)
+
+    @pytest.mark.parametrize("angle", [1e308, math.inf, -math.inf, math.nan])
+    def test_phases_out_of_range_refused(self, angle):
+        # the phases angle * lambda reach 2e308 or are not numbers: refused before the exponential
+        with pytest.raises(DomainError, match="phases"):
+            st.rotate_state(st.dicke_state(4, 1), st.Star(0, 0, 1), angle)
+
+    def test_eigh_failure_is_numeric_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            st.rotate_state(st.dicke_state(4, 1), st.Star(0, 0, 1), 0.5)
 
     def test_rotated_ghz4_matches_rec_parameters(self):
         # the same state appears in the rectangle family at theta=pi/4, phi=0

@@ -176,15 +176,17 @@ def _serial_star_vectors(state):
     scale = float(mags.max())
     first, last = (int(i[0]) for i in stars._pole_strip(mags[None]))
     v = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [first, n - last], axis=0)
+    pole = np.arange(n) < len(v)
+    radii = np.zeros(n)  # a pole star is exact
     if last > first:
-        roots, radii = _serial_roots(coeffs[first : last + 1] / scale)
+        roots, radii[len(v) :] = _serial_roots(coeffs[first : last + 1] / scale)
         v = np.concatenate([v, stars._chart(roots)])
-        radii = np.concatenate([np.full(n - len(roots), np.nan), radii])  # the pole stars take no part
-        g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
-        np.fill_diagonal(g, np.inf)
-        near = g <= np.maximum(radii[:, None] + radii[None, :], 12.0 * math.sqrt(np.finfo(float).eps))
-        if near.any():
-            v = stars._resolve_clusters(state.d, v, coeffs / scale, g, radii, near)
+    g = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+    np.fill_diagonal(g, np.inf)
+    near = g <= np.maximum(radii[:, None] + radii[None, :], 12.0 * math.sqrt(np.finfo(float).eps))
+    near &= ~np.outer(pole, pole)  # two pole stars are never near
+    if near.any():
+        v = stars._resolve_clusters(state.d, v, coeffs / scale, g, radii, near)
     return v[np.lexsort(stars._angles(v)[::-1])]
 
 
@@ -290,7 +292,8 @@ class TestStarVectorsBatch:
     @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
     def test_coherent(self, n):
         rng = np.random.default_rng(n)
-        self._assert_rows([st.coherent_state(n, uniform_qubit(rng)) for _ in range(4)])
+        beside_a_pole = [st.QubitState(t, 0.3) for t in (1e-14, 1e-12, math.pi - 1e-12)]
+        self._assert_rows([st.coherent_state(n, q) for q in [uniform_qubit(rng) for _ in range(4)] + beside_a_pole])
 
     @pytest.mark.parametrize("shape", [(3, 8, 1.0, "poles"), (4, 12, 2.0, "poles"), (5, 10, 0.7, "antipode")])
     def test_clusters(self, shape):
@@ -349,10 +352,10 @@ def _star_of(q: st.QubitState) -> st.Star:
     return st.Star.from_angles(q.theta, q.phi)
 
 
-# directions in both hemispheres, on the equator, and 1e-3 and 1e-6 rad from each pole; at n = 80 the row
+# directions in both hemispheres, on the equator, and 1e-3, 1e-6 and 1e-13 rad from a pole; at n = 80 the row
 # of a direction 1e-6 rad from a pole ends in (5e-7)**80, below the float range: it holds the pole itself
 _FAR = [(0.3, 0.4), (2.0, 2.5), (math.pi / 2, 4.0), (1e-3, 0.7), (math.pi - 1e-3, 3.3)]
-_NEAR = [(1e-6, 5.9), (math.pi - 1e-6, 1.3)]
+_NEAR = [(1e-6, 5.9), (math.pi - 1e-6, 1.3), (1e-13, 0.3)]
 COHERENT_DIRECTIONS = [(n, *d) for n in (2, 3, 8, 20, 40, 80) for d in _FAR + (_NEAR if n <= 40 else [])]
 
 
@@ -404,6 +407,33 @@ class TestClusters:
         v = _star_vectors(st.coherent_state(n, q))
         # the angle by atan2: arccos cannot resolve one below about 1e-8
         assert np.arctan2(np.linalg.norm(np.cross(v, u), axis=1), v @ u).max() <= 1e-14
+
+    def test_coherent_beside_a_pole(self):
+        # the pole strip pins some copies of a star this close to a pole onto the pole; the cluster rule must
+        # join them to the copies left as roots again
+        rng = np.random.default_rng(0)
+        split, worst = [], 0.0
+        for n in range(2, 14):
+            for pole in (0.0, math.pi):
+                for t in np.logspace(-16, -10, 61):
+                    q = st.QubitState(abs(pole - t), rng.uniform(0.0, 2 * math.pi))
+                    v = _star_vectors(st.coherent_state(n, q))
+                    if not (v == v[0]).all():
+                        split.append((n, q))
+                    worst = max(worst, float(np.abs(v - q.bloch_vector()).max()))
+        assert split == [] and worst <= 2e-13
+
+    def test_pole_stars_alone_are_never_resolved(self, monkeypatch):
+        # a Dicke row, and exact stars on both poles among roots, have near pairs only between pole stars
+        calls = []
+        monkeypatch.setattr(stars, "_resolve_clusters", lambda *args: calls.append(args))
+        rng = np.random.default_rng(5)
+        mixed = [st.QubitState(0.0)] * 2 + [st.QubitState(math.pi)] * 3 + [uniform_qubit(rng) for _ in range(3)]
+        rows = [st.dicke_state(8, 3), st.symmetrize(mixed)]
+        v = _star_vectors_batch(np.array([s.d for s in rows]))
+        assert calls == []
+        assert v[0].tolist() == [[0.0, 0.0, 1.0]] * 5 + [[0.0, 0.0, -1.0]] * 3
+        assert (v[1, :2] == (0.0, 0.0, 1.0)).all() and (v[1, -3:] == (0.0, 0.0, -1.0)).all()
 
     def test_multiple_root_at_the_south_pole(self):
         # w + 2 and three roots at infinity: the reversed row has its triple root at 0, where the polish starts
