@@ -101,7 +101,7 @@ def _use_file(path: str, mode: str, what: str, use):
     try:
         with open(path, mode, encoding="utf-8") as fh:
             return use(fh)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise DomainError(f"cannot {what} {path!r}: {exc}") from exc
 
 

@@ -96,9 +96,11 @@ def operator_symmetry_deficit(matrix: np.ndarray, n: int) -> float:
     with every permutation and returns 0.0 after two comparisons.
     Otherwise each transposition is checked on a tensor view of the matrix
     with the row and column bits of its two qubits as axes, by comparing
-    the six pairs of sub-blocks it swaps as strided views.  Both paths give
-    the same deficit bit for bit.  A matrix that is not finite or not
-    2^n x 2^n for this n raises DomainError.
+    the six pairs of sub-blocks it swaps as strided views: in (row bits |
+    column bits), (0, 1 | c, d) with (1, 0 | d, c) for each of the four
+    column bit pairs, and (a, a | 0, 1) with (a, a | 1, 0) for a = 0, 1.
+    Both paths give the same deficit bit for bit.  A matrix that is not
+    finite or not 2^n x 2^n for this n raises DomainError.
     """
     m, qubits = _as_matrix(matrix, _check_finite)
     if qubits != n:

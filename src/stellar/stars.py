@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .states import SymmetricState, _csv, _floats, _sqrt_binom, _state_from_pairs
+from .states import SymmetricState, _csv, _floats, _json_int, _sqrt_binom, _state_from_pairs
 
 __all__ = [
     "Star",
@@ -471,9 +471,9 @@ def constellation_from_json(text: str) -> Constellation:
 
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
+        n = _json_int(doc["n"])
         stars = tuple(Star.from_angles(float(e["theta"]), float(e["phi"])) for e in doc["stars"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed constellation JSON: {exc}") from exc
     return Constellation(n, stars)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -450,35 +449,25 @@ def _pair_axes(n: int, i: int, j: int) -> tuple[int, int, int, int, int]:
     return (1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))
 
 
-_ALL = slice(None)
-
-
-@functools.lru_cache(maxsize=2)
-def _moved_blocks(ndim: int) -> list[tuple[tuple, tuple]]:
-    """Index pairs of the sub-blocks that a qubit transposition swaps.
-
-    Split by ``_pair_axes``, each of the ``ndim`` axes of an array carries
-    the bits (i, j) of its index; the transposition of qubits i and j moves
-    the block with bits (a, b) on every axis to the block with (b, a).
-    Blocks with a == b on every axis stay.  One block of each moved pair is
-    listed with its partner: one pair for a vector, six for a matrix.
-    """
-
-    def index(bits):
-        return tuple(x for a, b in zip(bits[::2], bits[1::2]) for x in (_ALL, a, _ALL, b, _ALL))
-
-    blocks = []
-    for bits in itertools.product((0, 1), repeat=2 * ndim):
-        moved = tuple(bits[k ^ 1] for k in range(2 * ndim))  # (a, b, c, d) -> (b, a, d, c)
-        if bits < moved:
-            blocks.append((index(bits), index(moved)))
-    return blocks
+# The blocks that a transposition of qubits i < j swaps, indexed on the
+# _pair_axes split: the bits (a, b) of qubits (i, j) go to (b, a) on each axis.
+_VECTOR_PAIRS = [(np.s_[:, 0, :, 1], np.s_[:, 1, :, 0])]
+_MATRIX_PAIRS = [
+    (np.s_[:, a, :, b, :, :, c, :, d], np.s_[:, b, :, a, :, :, d, :, c])
+    for a, b, c, d in ((0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1))
+]
 
 
 def _swapped_views(arr: np.ndarray, n: int, i: int, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs of strided views of ``arr`` that the transposition of qubits i < j swaps."""
+    """The pairs of strided views of ``arr`` that the transposition of qubits i < j swaps.
+
+    A vector has one pair, bits (0, 1) <-> (1, 0) of qubits (i, j).  A matrix
+    has six, in (row bits | column bits): (0, 1 | c, d) <-> (1, 0 | d, c) for
+    the four column bit pairs, and (a, a | 0, 1) <-> (a, a | 1, 0) for a = 0, 1.
+    Entries with equal bits on every axis stay where they are.
+    """
     t = arr.reshape(_pair_axes(n, i, j) * arr.ndim)
-    return [(t[x], t[y]) for x, y in _moved_blocks(arr.ndim)]
+    return [(t[x], t[y]) for x, y in (_VECTOR_PAIRS if arr.ndim == 1 else _MATRIX_PAIRS)]
 
 
 def _exactly_symmetric(arr: np.ndarray, n: int) -> bool:
@@ -557,14 +546,21 @@ def state_to_json(state: SymmetricState) -> str:
     return f'{{"n": {state.n}, "dicke": {_complex_json(state.d)}}}'
 
 
+def _json_int(x) -> int:
+    """``x`` if the JSON decoder read it as an integer; TypeError for a float, bool, string or anything else."""
+    if type(x) is not int:
+        raise TypeError(f"n must be a JSON integer, got {x!r}")
+    return x
+
+
 def state_from_json(text: str) -> SymmetricState:
     import json
 
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
+        n = _json_int(doc["n"])
         d = np.array([complex(re, im) for re, im in doc["dicke"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
     state = SymmetricState(n, d)
     # A row that state_to_json printed is canonical already: keep it, since

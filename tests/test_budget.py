@@ -120,3 +120,18 @@ def test_dense_dynamics_refused_before_allocating(monkeypatch, capsys):
         assert peak < 6144
     assert main(["reduce", "--hamiltonian", "sym(X Z I)", "--beta", "0.7"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_symmetry_deficit_peak_is_a_fraction_of_the_matrix():
+    # an inexact matrix takes the measuring path: all 45 transpositions, six sixteenth-size block pairs each
+    m = st.build_matrix(parse("sym(Z Z" + " I" * 8 + ") + 0.5*sym(X" + " I" * 9 + ")")).matrix.copy()
+    m[1, 2] += 1e-13
+    m[2, 1] += 1e-13
+    assert 0.0 < st.operator_symmetry_deficit(m, 10) <= 2e-13  # also warms the caches
+    tracemalloc.start()
+    try:
+        st.operator_symmetry_deficit(m, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.nbytes / 8

@@ -524,12 +524,33 @@ class TestOutputs:
         code, _, err = run_cli(capsys, ["reduce", "--hamiltonian", str(path), "--beta", "0.7"])
         assert code == 3 and "hamiltonian" in err
 
-    @pytest.mark.parametrize("field", ["5", "null", '["X x X"]', '{"expr": "X x X"}'])
+    @pytest.mark.parametrize("field", ["5", "null", '["X x X"]', '{"expr": "X x X"}',
+                                       pytest.param("[" * 100000 + "]" * 100000, id="nested-100000")])
     def test_hamiltonian_json_field_not_a_string(self, capsys, tmp_path, field):
         path = tmp_path / "h.json"
         path.write_text('{"hamiltonian": %s}' % field)
         code, out, err = run_cli(capsys, ["reduce", "--hamiltonian", str(path), "--beta", "0.7"])
         assert (code, out) == (3, "") and err.startswith("error: cannot read a 'hamiltonian' field from")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1e400, "dicke": [[1, 0], [0, 0]]}',
+        '{"n": 2.9, "dicke": [[1, 0], [0, 0], [0, 0]]}',
+        '{"n": "2", "dicke": [[1, 0], [0, 0], [0, 0]]}',
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
+    ])
+    def test_state_file_outside_the_contract_exits_3(self, capsys, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["stars", "--state", str(path)])
+        assert (code, out) == (3, "") and err.startswith("error: cannot read state file") and err.count("\n") == 1
+
+    def test_random_state_file_reads_back(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        assert main(["random", "--n", "6", "--seed", "3", "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, ["stars", "--state", str(path)])
+        want = st.constellation_to_json(st.state_to_stars(st.state_from_json(path.read_text())))
+        assert (code, out) == (0, want + "\n")
 
     def test_compose_bell(self, capsys):
         _, out, _ = run_cli(capsys, ["compose", "--state", "1", "--state", "0"])

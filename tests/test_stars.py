@@ -656,7 +656,14 @@ class TestSerialization:
         back = st.constellation_from_json(st.constellation_to_json(c))
         assert match_constellations(c, back) <= 1e-15
 
-    @pytest.mark.parametrize("text", ["{", "", "[1, 2", '{"n": 1, "stars": [{"theta": 0.1}]}'])
+    @pytest.mark.parametrize("text", [
+        "{", "", "[1, 2", '{"n": 1, "stars": [{"theta": 0.1}]}',
+        '{"n": 1e400, "stars": [{"theta": 0.1, "phi": 0}]}',
+        '{"n": 1.9, "stars": [{"theta": 0.1, "phi": 0}]}',
+        '{"n": false, "stars": []}',
+        pytest.param('{"n": 1, "stars": [{"theta": 1%s, "phi": 0}]}' % ("0" * 400), id="theta-beyond-float"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
+    ])
     def test_malformed_json_is_domain_error(self, text):
         with pytest.raises(DomainError):
             st.constellation_from_json(text)

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 import stellar as st
 from stellar import states
 from stellar.errors import DomainError, ResourceError, SymmetryViolationError
-from stellar.states import _exactly_symmetric, _sqrt_binom
+from stellar.states import _exactly_symmetric, _sqrt_binom, _swapped_views
 
 RNG = np.random.default_rng(20240811)
 
@@ -305,6 +305,35 @@ def _gathered_report(full):
     return (want <= 1e-10, want)
 
 
+class TestMovedPairTables:
+    """The views of _swapped_views hold every entry that a transposition moves, once, and no other entry."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_views_are_the_moved_entries(self, n, ndim):
+        rng = np.random.default_rng(n)
+        shape = (2**n,) * ndim
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        positions = np.arange(arr.size).reshape(shape)
+        for i in range(n):
+            for j in range(i + 1, n):
+                axes = list(range(ndim * n))
+                for start in range(0, ndim * n, n):  # the axes of qubits i and j in each n-bit index
+                    axes[start + i], axes[start + j] = start + j, start + i
+                # image[p]: the position of the entry that the transposition moves onto p, and back
+                image = positions.reshape((2,) * (ndim * n)).transpose(axes).ravel()
+                swapped = arr.reshape((2,) * (ndim * n)).transpose(axes).ravel()
+                seen = []
+                pairs = list(zip(_swapped_views(positions, n, i, j), _swapped_views(arr, n, i, j)))
+                assert len(pairs) == (1 if ndim == 1 else 6)
+                for (x, y), (a, b) in pairs:
+                    assert np.array_equal(image[x], y)
+                    assert np.array_equal(arr.ravel()[x], a) and np.array_equal(swapped[x], b)
+                    seen += [x.ravel(), y.ravel()]
+                moved = np.flatnonzero(image != np.arange(arr.size))
+                assert np.array_equal(np.sort(np.concatenate(seen)), moved)
+
+
 class TestExactSymmetryShortcut:
     """The two-generator test of is_permutation_symmetric gives the reference report bit for bit."""
 
@@ -450,7 +479,17 @@ class TestStateJson:
         with pytest.raises(DomainError):
             st.state_from_json('{"n": 2}')
 
-    @pytest.mark.parametrize("text", ["{", "", "[1, 2", '{"n": 1, "dicke": [[1, 0], [0'])
+    @pytest.mark.parametrize("text", [
+        "{", "", "[1, 2", '{"n": 1, "dicke": [[1, 0], [0',
+        '{"n": 1e400, "dicke": [[1, 0], [0, 0]]}',
+        '{"n": 2.9, "dicke": [[1, 0], [0, 0], [0, 0]]}',
+        '{"n": 2.0, "dicke": [[1, 0], [0, 0], [0, 0]]}',
+        '{"n": true, "dicke": [[1, 0], [0, 0]]}',
+        '{"n": "1", "dicke": [[1, 0], [0, 0]]}',
+        pytest.param('{"n": 1, "dicke": [[1%s, 0], [0, 0]]}' % ("0" * 400), id="entry-beyond-float"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
+        pytest.param('{"n": 1, "dicke": %s}' % ("[" * 100000 + "]" * 100000), id="nested-dicke"),
+    ])
     def test_undecodable_is_domain_error(self, text):
         with pytest.raises(DomainError):
             st.state_from_json(text)
