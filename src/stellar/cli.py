@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import composition, dynamics, hamiltonians, measures, stars, states
-from .errors import DomainError, ExpressionError, ResourceError, StellarError, _check_bytes
+from .errors import DomainError, ExpressionError, ResourceError, StellarError, _check_bytes, _index
 
 # the exit code of the first class an error is an instance of: usage, domain or size, numeric or symmetry and any other
 _EXIT_CODES = ((ExpressionError, 2), ((DomainError, ResourceError), 3), (StellarError, 4))
@@ -206,11 +206,8 @@ def _line_axis(args) -> list[tuple[float, int]]:
 
 
 def _dicke_axis(args) -> list[tuple[float, int]]:
-    if args.n is None:
-        raise DomainError("--family dicke requires --n")
-    if args.n < 1:
-        raise DomainError(f"--family dicke needs --n of at least 1, got {args.n}")
-    return [(float(args.n), args.n + 1)]  # steps of exactly 1.0: k = 0, 1, ..., n
+    n = _index(args.n, "--family dicke needs an --n of at least 1", 1)
+    return [(float(n), n + 1)]  # steps of exactly 1.0: k = 0, 1, ..., n
 
 
 def _qubits(th, *phis) -> states.SymmetricState:
@@ -353,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("random", _cmd_random, "random symmetric state (uniform stars)")
     p.add_argument("--n", type=_int, required=True, help="qubit count")
     p.add_argument("--antipodal", action="store_true", help="compose random antipodal pairs (even n)")
-    p.add_argument("--seed", type=_int, help="64-bit seed; falls back to STELLAR_SEED, then OS entropy")
+    p.add_argument("--seed", type=_int, help="seed in 0 .. 2**64 - 1, else exit 3; falls back to STELLAR_SEED, then OS entropy")
 
     for name, helptext in (("evolve", "star trajectory under exp(-i*beta*H)"), ("velocity", "star velocity profile dtheta/dbeta")):
         p = add(name, _cmd_evolve, helptext)

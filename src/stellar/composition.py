@@ -17,15 +17,16 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _index
 from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
 
 __all__ = ["make_rng", "random_qubit", "compose", "random_state", "random_antipodal_state"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic Philox generator for a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """Deterministic Philox generator for a 64-bit seed, an integer in 0 .. 2**64 - 1."""
+    seed = _index(seed, "a seed must be an integer in 0 .. 2**64 - 1", 0, 2**64 - 1)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def random_qubit(rng: np.random.Generator) -> QubitState:
@@ -50,15 +51,15 @@ def compose(a: SymmetricState, b: SymmetricState) -> SymmetricState:
 
 def random_state(n: int, rng: np.random.Generator) -> SymmetricState:
     """Composition of n independent uniform-on-sphere single-qubit states."""
-    n = int(n)
+    n = _index(n, "a random state needs an integer count of at least one qubit", 1)
     _sqrt_binom(n)  # ResourceError for n >= 1030 before any draw
     return symmetrize([random_qubit(rng) for _ in range(n)])
 
 
 def random_antipodal_state(n: int, rng: np.random.Generator) -> SymmetricState:
     """Composition of n/2 random antipodal star pairs; barycenter is exactly 0."""
-    n = int(n)
-    if n < 1 or n % 2:
+    n = _index(n, "antipodal ensemble needs an integer qubit count of at least 2", 2)
+    if n % 2:
         raise DomainError(f"antipodal ensemble needs an even qubit count, got {n}")
     _sqrt_binom(n)  # ResourceError for n >= 1030 before any draw
     parts: list[QubitState] = []

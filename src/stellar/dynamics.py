@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SymmetryViolationError, _check_bytes, _check_phases, _eigh
+from .errors import DomainError, NumericError, SymmetryViolationError, _check_bytes, _check_phases, _eigh, _index, _real
 from .hamiltonians import HermitianOperator, _check_hermitian
 from .measures import _e_b
 from .stars import _angles, _geodesic, _star_vectors_batch
@@ -146,9 +146,7 @@ def build_transition(n: int) -> np.ndarray:
     weight order.  Refused with ResourceError above MAX_MATRIX_BYTES
     (16 * 4**n bytes) before anything is allocated.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"a transition basis needs at least one qubit, got {n}")
+    n = _index(n, "a transition basis needs an integer count of at least one qubit", 1)
     _check_bytes(16 * 4**n, f"a {n}-qubit transition basis needs")
     iso = _dicke_isometry(n)
     t = np.zeros((2**n, 2**n), dtype=np.complex128)
@@ -190,8 +188,7 @@ def reduce_unitary(u: np.ndarray, tol: float = 1e-10) -> BlockDecomposition:
     and refused with ResourceError above MAX_MATRIX_BYTES before the
     transition basis is built.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    tol = _real(tol, "tol must be finite and non-negative", 0.0)
     u, n = _as_matrix(u, _check_finite)
     _check_bytes(6 * 16 * 4**n, f"reducing a {n}-qubit unitary needs")
     t = build_transition(n)
@@ -365,8 +362,7 @@ def evolve(
     such as the first from coinciding stars, go to ``_match``: unnumbered
     in the first pass for their move, numbered in the second.
     """
-    if not (math.isfinite(max_step) and max_step > 0.0):
-        raise DomainError(f"max_step must be finite and positive, got {max_step}")
+    max_step = _real(max_step, "max_step must be finite and positive", math.ulp(0.0))  # the least float above 0
     m, n = _as_matrix(h, _check_hermitian)
     if n != psi0.n:
         raise DomainError(f"Hamiltonian acts on {n} qubits, state has {psi0.n}")
@@ -376,7 +372,10 @@ def evolve(
             f"evolve needs a permutation-symmetric Hamiltonian (deficit {deficit:.3e} > 1e-12)",
             deficit,
         )
-    grid = np.asarray(list(betas), dtype=float)
+    try:
+        grid = np.asarray(list(betas), dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("beta grid must be a sequence of real numbers") from None
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("beta grid must be a non-empty 1-d sequence")
     diffs = np.diff(grid)
@@ -445,10 +444,7 @@ def velocity_profile(
     adjacent steps multiply out of the normal float range, which the
     differences divide by, raises DomainError.
     """
-    if not (math.isfinite(divergence_threshold) and divergence_threshold >= 0.0):
-        raise DomainError(
-            f"divergence_threshold must be finite and non-negative, got {divergence_threshold}"
-        )
+    divergence_threshold = _real(divergence_threshold, "divergence_threshold must be finite and non-negative", 0.0)
     if traj.betas.size < 3:
         raise DomainError("velocity needs at least 3 grid points")
     h = np.abs(np.diff(traj.betas))  # a monotone grid's steps share one sign

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one byte budget, and the guards of the unitary maps."""
+"""Exception types, the one byte budget, the readers of a caller's integers and reals, and the unitary maps' guards."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +25,27 @@ def _check_bytes(need: int, what: str) -> None:
     """ResourceError, before anything is allocated, if ``need`` bytes exceed MAX_MATRIX_BYTES; ``what`` ends in a verb."""
     if need > MAX_MATRIX_BYTES:
         raise ResourceError(f"{what} {need} bytes, above the limit of {MAX_MATRIX_BYTES} bytes")
+
+
+def _index(x, rule: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """A caller's integer in lo..hi as an int, read by ``operator.index`` so that numpy integers pass; anything else,
+    a bool, a float or a string among them, is a DomainError: ``rule``, which states what is asked, and the value."""
+    try:
+        if type(x) is not bool and lo <= (i := operator.index(x)) <= hi:
+            return i
+    except TypeError:
+        pass
+    raise DomainError(f"{rule}, got {x!r}")
+
+
+def _real(x, rule: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A caller's real number, finite and in lo..hi, as a float; anything else, a string among them, as ``_index``."""
+    try:
+        if math.isfinite(x) and lo <= (f := float(x)) <= hi:
+            return f
+    except (TypeError, OverflowError):
+        pass
+    raise DomainError(f"{rule}, got {x!r}")
 
 
 class NumericError(StellarError):

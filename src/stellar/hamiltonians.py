@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_MATRIX_BYTES, DomainError, ExpressionError, ExpressionSemanticError, ExpressionSyntaxError, _check_bytes
+from .errors import MAX_MATRIX_BYTES, DomainError, ExpressionError, ExpressionSemanticError, ExpressionSyntaxError, _check_bytes, _index
 
 __all__ = [
     "TensorTerm",
@@ -292,13 +292,15 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        n = _index(self.n, "an operator needs an integer count of at least one qubit", 1)
         m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2**self.n, 2**self.n):
-            raise DomainError(f"matrix shape {m.shape} does not match {self.n} qubits")
+        if m.shape != (2**n, 2**n):
+            raise DomainError(f"matrix shape {m.shape} does not match {n} qubits")
         if m.flags.writeable or not m.flags.owndata:
             m = m.copy()
         _check_hermitian(m)
         m.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", m)
 
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_bytes, _check_phases, _eigh
+from .errors import ConvergenceError, DomainError, _check_bytes, _check_phases, _eigh, _index
 from .stars import Constellation, Star, _star_vectors
-from .states import QubitState, SymmetricState, _sqrt_binom, symmetrize
+from .states import QubitState, SymmetricState, _dicke_label, _sqrt_binom, symmetrize
 
 __all__ = [
     "Barycenter",
@@ -287,11 +286,10 @@ def e_g(state: SymmetricState, grid: tuple[int, int] = (64, 128)) -> GeometricRe
     grid holds only the poles, where Q can vanish with its gradient).
     """
     try:
-        n_th, n_ph = (operator.index(size) for size in grid)
+        n_th, n_ph = grid
     except (TypeError, ValueError):
         raise DomainError(f"husimi grid must be two integers, got {grid!r}") from None
-    if n_th < 2 or n_ph < 2:
-        raise DomainError("husimi grid must be at least 2x2")
+    n_th, n_ph = (_index(size, "husimi grid must be two integers of at least 2", 2) for size in (n_th, n_ph))
     gbar = _husimi_weights(state)
     n = state.n
     # amplitudes, values and their partitioned copy per point; theta and phi tables
@@ -359,9 +357,7 @@ def e_g_dicke(n: int, k: int) -> GeometricResult:
     The maximizing product direction has sin(theta/2)**2 = k/n; the edge
     cases k in {0, n} are the product states with value 0.
     """
-    n, k = int(n), int(k)
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"invalid Dicke label ({n}, {k})")
+    n, k = _dicke_label(n, k)
     theta = 2.0 * math.asin(math.sqrt(k / n))
     if k == 0 or k == n:
         return GeometricResult(0.0, QubitState(theta, 0.0), 1.0)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .states import SymmetricState, _csv, _floats, _json_int, _sqrt_binom, _state_from_pairs
+from .errors import DomainError, NumericError, _index
+from .states import SymmetricState, _csv, _floats, _sqrt_binom, _state_from_pairs
 
 __all__ = [
     "Star",
@@ -136,10 +136,8 @@ class Constellation:
     stars: tuple[Star, ...]
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _index(self.n, "a constellation needs an integer count of at least one star", 1)
         stars = tuple(self.stars)
-        if n < 1:
-            raise DomainError("a constellation needs at least one star")
         if len(stars) != n:
             raise DomainError(f"expected {n} stars, got {len(stars)}")
         object.__setattr__(self, "n", n)
@@ -471,7 +469,7 @@ def constellation_from_json(text: str) -> Constellation:
 
     try:
         doc = json.loads(text)
-        n = _json_int(doc["n"])
+        n = doc["n"]  # read as an integer by Constellation
         stars = tuple(Star.from_angles(float(e["theta"]), float(e["phi"])) for e in doc["stars"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed constellation JSON: {exc}") from exc

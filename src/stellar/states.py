@@ -20,12 +20,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, SymmetryViolationError, _check_bytes
+from .errors import DomainError, ResourceError, SymmetryViolationError, _check_bytes, _index, _real
 
 __all__ = [
     "QubitState",
@@ -105,14 +106,9 @@ class QubitState:
     phi: float = 0.0
 
     def __post_init__(self):
-        th = float(self.theta)
-        ph = float(self.phi)
-        if not (math.isfinite(th) and math.isfinite(ph)):
-            raise DomainError("qubit angles must be finite")
-        if th < -1e-12 or th > math.pi + 1e-12:
-            raise DomainError(f"theta must lie in [0, pi], got {th}")
+        th = _real(self.theta, "theta must be finite and lie in [0, pi]", -1e-12, math.pi + 1e-12)
         th = min(max(th, 0.0), math.pi)
-        ph = ph % _TWO_PI
+        ph = _real(self.phi, "phi must be finite") % _TWO_PI
         if th == 0.0 or th == math.pi:
             ph = 0.0
         object.__setattr__(self, "theta", th)
@@ -145,9 +141,7 @@ class SymmetricState:
     d: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise DomainError("a symmetric state needs at least one qubit")
+        n = _index(self.n, "a symmetric state needs an integer count of at least one qubit", 1)
         d = np.array(self.d, dtype=np.complex128).reshape(-1)
         if d.shape[0] != n + 1:
             raise DomainError(f"expected {n + 1} Dicke coefficients, got {d.shape[0]}")
@@ -209,9 +203,7 @@ class FullState:
     amps: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise DomainError("a full state needs at least one qubit")
+        n = _index(self.n, "a full state needs an integer count of at least one qubit", 1)
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
         if amps.shape[0] != 2**n:
             raise DomainError(f"expected {2**n} amplitudes, got {amps.shape[0]}")
@@ -248,12 +240,17 @@ def fidelity(a: SymmetricState, b: SymmetricState) -> float:
     return abs(overlap(a, b))
 
 
+def _dicke_label(n, k) -> tuple[int, int]:
+    """The Dicke label (n, k) as integers, n >= 1 and 0 <= k <= n; ResourceError for an n beyond the float range."""
+    n = _index(n, "a Dicke label needs an integer n of at least 1", 1)
+    if n > sys.float_info.max:
+        raise ResourceError("the n of a Dicke label exceeds the float range")
+    return n, _index(k, f"a Dicke label needs an integer k in 0..{n}", 0, n)
+
+
 def dicke_state(n: int, k: int) -> SymmetricState:
     """The Dicke state with k excitations among n qubits."""
-    n = int(n)
-    k = int(k)
-    if not 0 <= k <= n:
-        raise DomainError(f"excitation number k={k} outside 0..{n}")
+    n, k = _dicke_label(n, k)
     _check_bytes(48 * (n + 1), f"a {n}-qubit Dicke state needs")  # tracemalloc: the peak per coefficient
     d = np.zeros(n + 1, dtype=np.complex128)
     d[k] = 1.0
@@ -262,7 +259,7 @@ def dicke_state(n: int, k: int) -> SymmetricState:
 
 def coherent_state(n: int, center: QubitState) -> SymmetricState:
     """Spin-coherent state: the symmetric product of n copies of ``center``."""
-    n = int(n)
+    n = _index(n, "a coherent state needs an integer count of at least one qubit", 1)
     a, b = center.amplitudes
     d = _sqrt_binom(n) * np.array([a ** (n - k) * b**k for k in range(n + 1)])
     return SymmetricState(n, d)
@@ -270,9 +267,7 @@ def coherent_state(n: int, center: QubitState) -> SymmetricState:
 
 def ghz_state(n: int) -> SymmetricState:
     """(|0...0> + |1...1>) / sqrt(2) on n >= 2 qubits."""
-    n = int(n)
-    if n < 2:
-        raise DomainError("GHZ needs at least 2 qubits")
+    n = _index(n, "GHZ needs an integer count of at least 2 qubits", 2)
     _check_bytes(48 * (n + 1), f"a {n}-qubit GHZ state needs")  # as dicke_state
     d = np.zeros(n + 1, dtype=np.complex128)
     d[0] = d[n] = 1.0
@@ -362,12 +357,8 @@ def rec_family_state(theta: float, phi: float) -> SymmetricState:
     azimuths phi and phi+pi, and a pair at pi-theta with azimuths 0 and pi.
     theta in [0, pi/2], phi in [0, pi].
     """
-    if not -1e-12 <= theta <= math.pi / 2 + 1e-12:
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
-    if not -1e-12 <= phi <= math.pi + 1e-12:
-        raise DomainError(f"phi must lie in [0, pi], got {phi}")
-    theta = min(max(theta, 0.0), math.pi / 2)
-    phi = min(max(phi, 0.0), math.pi)
+    theta = min(max(_real(theta, "theta must lie in [0, pi/2]", -1e-12, math.pi / 2 + 1e-12), 0.0), math.pi / 2)
+    phi = min(max(_real(phi, "phi must lie in [0, pi]", -1e-12, math.pi + 1e-12), 0.0), math.pi)
     return symmetrize(
         [
             QubitState(theta, phi),
@@ -522,22 +513,22 @@ def is_permutation_symmetric(full: FullState) -> SymmetryReport:
 
 def jm_to_nk(j: float, m: float) -> tuple[int, int]:
     """Map an angular-momentum label |j, m> to the Dicke label (n, k)."""
+    j, m = _real(j, "j must be a finite real number"), _real(m, "m must be a finite real number")
     n = 2.0 * j
     if not (math.isfinite(n) and math.isfinite(j - m)):  # so that k below is finite too
         raise DomainError(f"2j and j - m must be finite, got j={j}, m={m}")
     if abs(n - round(n)) > 1e-9 or n < 1:
         raise DomainError(f"j must be a positive half-integer, got {j}")
-    n = int(round(n))
+    n = round(n)
     k = n / 2.0 - m
     if abs(k - round(k)) > 1e-9 or not 0 <= round(k) <= n:
         raise DomainError(f"m={m} invalid for j={j}")
-    return n, int(round(k))
+    return n, round(k)
 
 
 def nk_to_jm(n: int, k: int) -> tuple[float, float]:
     """Map the Dicke label (n, k) to the angular-momentum label (j, m)."""
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"invalid Dicke label ({n}, {k})")
+    n, k = _dicke_label(n, k)
     return n / 2.0, n / 2.0 - k
 
 
@@ -546,19 +537,12 @@ def state_to_json(state: SymmetricState) -> str:
     return f'{{"n": {state.n}, "dicke": {_complex_json(state.d)}}}'
 
 
-def _json_int(x) -> int:
-    """``x`` if the JSON decoder read it as an integer; TypeError for a float, bool, string or anything else."""
-    if type(x) is not int:
-        raise TypeError(f"n must be a JSON integer, got {x!r}")
-    return x
-
-
 def state_from_json(text: str) -> SymmetricState:
     import json
 
     try:
         doc = json.loads(text)
-        n = _json_int(doc["n"])
+        n = doc["n"]  # read as an integer by SymmetricState
         d = np.array([complex(re, im) for re, im in doc["dicke"]])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc

@@ -451,6 +451,24 @@ class TestRandomCommand:
         assert out1 == out2
         assert json.loads(out1)["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "flags,env",
+        [
+            pytest.param(["--seed", "-1"], {}, id="negative"),
+            pytest.param([], {"STELLAR_SEED": "-1"}, id="negative-env"),
+            pytest.param(["--seed", str(2**64)], {}, id="65-bit"),
+        ],
+    )
+    def test_seed_outside_64_bits_exits_3(self, capsys, monkeypatch, flags, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, ["random", "--n", "4", *flags])
+        assert (code, out) == (3, "") and err.startswith("error:") and err.count("\n") == 1
+
+    def test_largest_seed(self, capsys):
+        code, out, _ = run_cli(capsys, ["random", "--n", "4", "--seed", str(2**64 - 1)])
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+
     def test_entropy_seed_echoed(self, capsys, monkeypatch):
         monkeypatch.delenv("STELLAR_SEED", raising=False)
         code, out, err = run_cli(capsys, ["random", "--n", "2"])

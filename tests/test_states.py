@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -520,6 +521,7 @@ class TestConstructorInvariants:
             pytest.param(lambda: st.QubitState(math.nan, 0.0), DomainError, "finite", id="qubit-nan-theta"),
             pytest.param(lambda: st.QubitState(1.0, -math.inf), DomainError, "finite", id="qubit-inf-phi"),
             pytest.param(lambda: st.SymmetricState(2, [1.0, 0.0]), DomainError, "expected 3", id="dicke-count"),
+            pytest.param(lambda: st.SymmetricState(0, [1.0]), DomainError, "at least one", id="dicke-no-qubit"),
             pytest.param(lambda: st.FullState(0, [1.0]), DomainError, "at least one", id="full-no-qubit"),
             pytest.param(lambda: st.FullState(2, [1.0, 0.0]), DomainError, "expected 4", id="full-count"),
             pytest.param(
@@ -542,6 +544,82 @@ class TestConstructorInvariants:
         with pytest.raises(error, match=match) as err:
             call()
         assert type(err.value) is error
+
+
+_XY = st.build_matrix(st.parse("-0.5*X x Y + -0.5*Y x X"))
+
+# every public call that takes a count, a Dicke label, a grid size or a seed: (call of one integer, a valid integer)
+_INTEGER_SITES = {
+    "SymmetricState": (lambda v: st.SymmetricState(v, [1.0, 2.0, 0.5]), 2),
+    "FullState": (lambda v: st.FullState(v, [1.0, 0.0, 2.0, 0.5]), 2),
+    "Constellation": (lambda v: st.Constellation(v, [st.Star(0.0, 0.0, 1.0)] * 2), 2),
+    "HermitianOperator": (lambda v: st.HermitianOperator(v, _XY.matrix), 2),
+    "dicke_state-n": (lambda v: st.dicke_state(v, 1), 3),
+    "dicke_state-k": (lambda v: st.dicke_state(3, v), 1),
+    "e_g_dicke-n": (lambda v: st.e_g_dicke(v, 1), 3),
+    "e_g_dicke-k": (lambda v: st.e_g_dicke(3, v), 1),
+    "ghz_state": (st.ghz_state, 3),
+    "coherent_state": (lambda v: st.coherent_state(v, st.QubitState(0.4, 1.1)), 3),
+    "random_state": (lambda v: st.random_state(v, st.make_rng(5)), 3),
+    "random_antipodal_state": (lambda v: st.random_antipodal_state(v, st.make_rng(5)), 4),
+    "build_transition": (st.build_transition, 2),
+    "nk_to_jm-n": (lambda v: st.nk_to_jm(v, 1), 3),
+    "nk_to_jm-k": (lambda v: st.nk_to_jm(3, v), 1),
+    "e_g-grid-rows": (lambda v: st.e_g(st.dicke_state(3, 1), grid=(v, 16)), 8),
+    "e_g-grid-columns": (lambda v: st.e_g(st.dicke_state(3, 1), grid=(8, v)), 16),
+    "make_rng": (lambda v: st.make_rng(v).random(4), 3),
+}
+
+
+def _bits(x):
+    """What a result holds, as values that compare equal only for the same bits and types."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+class TestCallerNumbers:
+    """Integers are read exactly, never truncated, and real parameters are numbers, not text."""
+
+    @pytest.mark.parametrize("value", [2.0, 2.9, True, "3", math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("site", _INTEGER_SITES)
+    def test_non_integer_is_domain_error(self, site, value):
+        with pytest.raises(DomainError) as err:
+            _INTEGER_SITES[site][0](value)
+        assert type(err.value) is DomainError
+
+    @pytest.mark.parametrize("site", _INTEGER_SITES)
+    def test_numpy_integer_gives_the_same_bits(self, site):
+        call, valid = _INTEGER_SITES[site]
+        assert _bits(call(np.int64(valid))) == _bits(call(valid))
+
+    @pytest.mark.parametrize("call", [lambda: st.e_g_dicke(10**400, 1), lambda: st.nk_to_jm(10**400, 1)],
+                             ids=["e_g_dicke", "nk_to_jm"])
+    def test_label_beyond_the_float_range(self, call):
+        with pytest.raises(ResourceError, match="exceeds the float range"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: st.evolve(_XY, st.dicke_state(2, 0), [0.0, 1.0], max_step="0.2"),
+            lambda: st.velocity_profile(st.evolve(_XY, st.dicke_state(2, 0), [0.0, 0.5, 1.0]), "10"),
+            lambda: st.reduce_unitary(st.exponentiate(_XY, 0.3), tol="1e-10"),
+            lambda: st.QubitState("x"),
+            lambda: st.evolve(_XY, st.dicke_state(2, 0), ["a", "b"]),
+            lambda: st.jm_to_nk("1", 0),
+            lambda: st.rec_family_state("0.5", 0.0),
+        ],
+        ids=["max_step", "divergence_threshold", "tol", "theta", "betas", "j", "rec4-theta"],
+    )
+    def test_text_for_a_real_parameter_is_domain_error(self, call):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert type(err.value) is DomainError
 
 
 class TestAnyFiniteScale:
